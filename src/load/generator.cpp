@@ -196,14 +196,6 @@ void Generator::register_telemetry(telemetry::Sampler& sampler) {
   });
 }
 
-sim::Process Generator::run(shard::ShardedStore& store,
-                            stats::ServiceReport& report) {
-  // Pre-Client shim: the local Client lives in this coroutine frame for
-  // the whole run.
-  shard::Client client(store);
-  co_await run(client, report).join();
-}
-
 sim::Process Generator::run(shard::Client& client,
                             stats::ServiceReport& report) {
   shard::ShardedStore& store = client.store();

@@ -108,11 +108,6 @@ class Generator {
   /// store.fill_report(report) afterwards.
   sim::Process run(shard::Client& client, stats::ServiceReport& report);
 
-  /// Pre-Client entry point: wraps `store` in a Client and runs with the
-  /// config's read level.
-  [[deprecated("construct a shard::Client and use run(client, report)")]]
-  sim::Process run(shard::ShardedStore& store, stats::ServiceReport& report);
-
   /// Registers client-side gauges on `sampler`: requests sitting in node
   /// FIFOs (arrived, not yet started) and requests in flight (started, not
   /// yet finished). `sampler` must outlive the run.

@@ -1,7 +1,5 @@
 #include "shard/client.hpp"
 
-#include "simkern/assert.hpp"
-
 namespace optsync::shard {
 
 sim::Process Client::sync_route(dsm::NodeId n, std::vector<Key> keys) {
@@ -30,44 +28,17 @@ sim::Process Client::read(dsm::NodeId n, Key key,
   co_await store_->read_op(n, key, out, opts.level).join();
 }
 
-sim::Process Client::write(dsm::NodeId n, Key key, dsm::Word value,
-                           WriteOptions opts) {
-  (void)opts;
+sim::Process Client::write(dsm::NodeId n, Key key, dsm::Word value) {
   if (store_->elastic()) co_await sync_route(n, std::vector<Key>(1, key)).join();
   co_await store_->write_op(n, key, value).join();
 }
 
 sim::Process Client::txn(dsm::NodeId n, TxnRequest req, TxnResult* result,
                          ReadOptions opts) {
-  const int classes = (!req.puts.empty() ? 1 : 0) +
-                      (!req.adds.empty() ? 1 : 0) +
-                      (!req.reads.empty() ? 1 : 0);
-  OPTSYNC_EXPECT(classes == 1);
   if (store_->elastic()) {
-    std::vector<Key> keys;
-    if (!req.puts.empty()) {
-      keys.reserve(req.puts.size());
-      for (const auto& [key, value] : req.puts) {
-        (void)value;
-        keys.push_back(key);
-      }
-    } else {
-      keys = !req.adds.empty() ? req.adds : req.reads;
-    }
-    co_await sync_route(n, std::move(keys)).join();
+    co_await sync_route(n, ShardedStore::txn_keys(req)).join();
   }
-  if (!req.puts.empty()) {
-    co_await store_->multi_put_op(n, std::move(req.puts)).join();
-    co_return;
-  }
-  if (!req.adds.empty()) {
-    co_await store_->multi_rmw_op(n, std::move(req.adds), req.delta).join();
-    co_return;
-  }
-  OPTSYNC_EXPECT(result != nullptr);
-  co_await store_
-      ->multi_get_op(n, std::move(req.reads), &result->values, opts.level)
-      .join();
+  co_await store_->txn_op(n, std::move(req), result, opts.level).join();
 }
 
 }  // namespace optsync::shard

@@ -1,9 +1,6 @@
 // shard::Client: the consistency-aware operation facade over ShardedStore.
 //
-// The store's historical surface grew one method per operation shape
-// (get/put/multi_put/multi_rmw/multi_get), with consistency implied by the
-// method rather than requested by the caller. Client collapses that into
-// three verbs —
+// Three verbs cover every operation shape —
 //
 //   read(node, key, &out, {ConsistencyLevel})
 //   write(node, key, value)
@@ -50,29 +47,6 @@ struct ReadOptions {
   ConsistencyLevel level = ConsistencyLevel::kLinearizable;
 };
 
-/// Write-side knobs. Empty today — writes always commit through the owning
-/// shard's lock protocol — kept so call sites name their intent and future
-/// knobs (durability class, async ack) land without a signature change.
-struct WriteOptions {};
-
-/// One multi-key transaction. Exactly one operation class may be
-/// populated:
-///   * puts  — atomic multi-key write;
-///   * adds  — multi-key read-modify-write (each value += delta, absent
-///             keys start at 0; the YCSB-F idiom);
-///   * reads — consistent multi-key snapshot (values land in
-///             TxnResult::values, aligned with `reads`).
-struct TxnRequest {
-  std::vector<std::pair<Key, dsm::Word>> puts;
-  std::vector<Key> adds;
-  dsm::Word delta = 0;
-  std::vector<Key> reads;
-};
-
-struct TxnResult {
-  std::vector<std::optional<dsm::Word>> values;
-};
-
 class Client {
  public:
   explicit Client(ShardedStore& store)
@@ -96,8 +70,7 @@ class Client {
                     ReadOptions opts = {});
 
   /// Single-key write under the owning shard's lock protocol.
-  sim::Process write(dsm::NodeId n, Key key, dsm::Word value,
-                     WriteOptions opts = {});
+  sim::Process write(dsm::NodeId n, Key key, dsm::Word value);
 
   /// Multi-key transaction. `result` may be null unless `req.reads` is the
   /// populated class. `opts.level` applies to the reads class only.

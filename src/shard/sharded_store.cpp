@@ -188,34 +188,6 @@ std::optional<dsm::Word> ShardedStore::local_get(dsm::NodeId n,
   return std::nullopt;
 }
 
-std::optional<dsm::Word> ShardedStore::get(dsm::NodeId n, Key key) const {
-  // Pre-Client shim. It predates partial replication, so it requires a
-  // member node — a client has no replica to read; use Client::read.
-  OPTSYNC_EXPECT(is_member(n));
-  return local_get(n, key);
-}
-
-sim::Process ShardedStore::put(dsm::NodeId n, Key key, dsm::Word value) {
-  return write_op(n, key, value);
-}
-
-sim::Process ShardedStore::multi_put(
-    dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs) {
-  return multi_put_op(n, std::move(kvs));
-}
-
-sim::Process ShardedStore::multi_rmw(dsm::NodeId n, std::vector<Key> keys,
-                                     dsm::Word delta) {
-  return multi_rmw_op(n, std::move(keys), delta);
-}
-
-sim::Process ShardedStore::multi_get(
-    dsm::NodeId n, std::vector<Key> keys,
-    std::vector<std::optional<dsm::Word>>* out) {
-  return multi_get_op(n, std::move(keys), out,
-                      ConsistencyLevel::kLinearizable);
-}
-
 // --- Client entry points ---------------------------------------------------
 
 sim::Process ShardedStore::read_op(dsm::NodeId n, Key key,
@@ -250,60 +222,21 @@ sim::Process ShardedStore::write_op(dsm::NodeId n, Key key, dsm::Word value) {
                     });
 }
 
-sim::Process ShardedStore::multi_put_op(
-    dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs) {
-  OPTSYNC_EXPECT(!kvs.empty());
-  if (access_observer_) {
-    for (const auto& [key, value] : kvs) {
-      (void)value;
-      access_observer_(map_.shard_of(key), key);
-    }
+sim::Process ShardedStore::txn_op(dsm::NodeId n, TxnRequest req,
+                                  TxnResult* result, ConsistencyLevel level) {
+  const std::vector<Key> keys = txn_keys(req);
+  const bool reads = !req.reads.empty();
+  std::vector<std::optional<dsm::Word>>* out = nullptr;
+  if (reads) {
+    OPTSYNC_EXPECT(result != nullptr);
+    out = &result->values;
   }
-  if (!partial()) return multi_put_direct(n, std::move(kvs));
-  std::vector<Key> keys;
-  keys.reserve(kvs.size());
-  for (const auto& [key, value] : kvs) {
-    (void)value;
-    keys.push_back(key);
-  }
-  const ShardId primary = involved_shards(keys).front();
-  const dsm::NodeId server = shards_[primary]->root;
-  const auto req = static_cast<std::uint32_t>(
-      cfg_.lease.ctrl_bytes + cfg_.lease.data_bytes * kvs.size());
-  return forward_op(n, primary, req, cfg_.lease.ctrl_bytes,
-                    [this, server, kvs = std::move(kvs)]() mutable {
-                      return multi_put_direct(server, std::move(kvs));
-                    });
-}
-
-sim::Process ShardedStore::multi_rmw_op(dsm::NodeId n, std::vector<Key> keys,
-                                        dsm::Word delta) {
-  OPTSYNC_EXPECT(!keys.empty());
   if (access_observer_) {
     for (const Key key : keys) access_observer_(map_.shard_of(key), key);
   }
-  if (!partial()) return multi_rmw_direct(n, std::move(keys), delta);
-  const ShardId primary = involved_shards(keys).front();
-  const dsm::NodeId server = shards_[primary]->root;
-  const auto req = static_cast<std::uint32_t>(
-      cfg_.lease.ctrl_bytes + cfg_.lease.data_bytes * keys.size());
-  return forward_op(n, primary, req, cfg_.lease.ctrl_bytes,
-                    [this, server, delta, keys = std::move(keys)]() mutable {
-                      return multi_rmw_direct(server, std::move(keys), delta);
-                    });
-}
+  if (!partial()) return run_txn(n, std::move(req), out);
 
-sim::Process ShardedStore::multi_get_op(
-    dsm::NodeId n, std::vector<Key> keys,
-    std::vector<std::optional<dsm::Word>>* out, ConsistencyLevel level) {
-  OPTSYNC_EXPECT(!keys.empty());
-  OPTSYNC_EXPECT(out != nullptr);
-  if (access_observer_) {
-    for (const Key key : keys) access_observer_(map_.shard_of(key), key);
-  }
-  if (!partial()) return multi_get_direct(n, std::move(keys), out);
-
-  if (!is_member(n) && level != ConsistencyLevel::kLinearizable) {
+  if (reads && !is_member(n) && level != ConsistencyLevel::kLinearizable) {
     // kSnapshot warm path: when EVERY key's stripe holds a valid lease the
     // whole read set is served locally with zero messages. Stripe == orec
     // stripe, so the leased epochs are exactly the orec versions an OCC
@@ -328,17 +261,17 @@ sim::Process ShardedStore::multi_get_op(
     }
   }
 
-  // Cold (or linearizable, or a member): the full OCC snapshot protocol,
-  // executed at the primary shard's root through its proxy chain.
+  // Everything else (writes; cold, linearizable or member reads) runs the
+  // full protocol at the primary shard's root through its proxy chain.
+  // Writes are acked with a bare control message; reads carry their values.
   const ShardId primary = involved_shards(keys).front();
   const dsm::NodeId server = shards_[primary]->root;
-  const auto req = static_cast<std::uint32_t>(
+  const auto req_bytes = static_cast<std::uint32_t>(
       cfg_.lease.ctrl_bytes + cfg_.lease.data_bytes * keys.size());
-  const auto reply = static_cast<std::uint32_t>(
-      cfg_.lease.ctrl_bytes + cfg_.lease.data_bytes * keys.size());
-  return forward_op(n, primary, req, reply,
-                    [this, server, out, keys = std::move(keys)]() mutable {
-                      return multi_get_direct(server, std::move(keys), out);
+  return forward_op(n, primary, req_bytes,
+                    reads ? req_bytes : cfg_.lease.ctrl_bytes,
+                    [this, server, out, req = std::move(req)]() mutable {
+                      return run_txn(server, std::move(req), out);
                     });
 }
 
@@ -510,6 +443,21 @@ core::MultiGroupMutex& ShardedStore::txn_mutex(
   return *it->second;
 }
 
+std::vector<Key> ShardedStore::txn_keys(const TxnRequest& req) {
+  const int classes = (!req.puts.empty() ? 1 : 0) +
+                      (!req.adds.empty() ? 1 : 0) +
+                      (!req.reads.empty() ? 1 : 0);
+  OPTSYNC_EXPECT(classes == 1);
+  if (req.puts.empty()) return !req.adds.empty() ? req.adds : req.reads;
+  std::vector<Key> keys;
+  keys.reserve(req.puts.size());
+  for (const auto& [key, value] : req.puts) {
+    (void)value;
+    keys.push_back(key);
+  }
+  return keys;
+}
+
 std::vector<ShardId> ShardedStore::involved_shards(
     const std::vector<Key>& keys) const {
   std::vector<ShardId> ids;
@@ -530,292 +478,96 @@ void ShardedStore::record_txn_flight(sim::Time started, sim::Time acquired) {
   txn_stats_.hold_ns.record(static_cast<std::int64_t>(now - acquired));
 }
 
-sim::Process ShardedStore::multi_put_direct(
-    dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs) {
-  std::vector<Key> keys;
-  keys.reserve(kvs.size());
-  for (const auto& [key, value] : kvs) {
-    (void)value;
-    keys.push_back(key);
-  }
-  std::vector<ShardId> ids = involved_shards(keys);
-  if (cfg_.txn.mode == TxnMode::kOcc) {
-    return multi_put_occ(n, std::move(kvs), std::move(ids));
-  }
-  core::MultiGroupMutex& mux = txn_mutex(ids);
-  return multi_put_impl(n, std::move(kvs), std::move(ids), mux);
-}
-
-sim::Process ShardedStore::multi_put_occ(
-    dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs,
-    std::vector<ShardId> ids) {
+sim::Process ShardedStore::run_txn(dsm::NodeId n, TxnRequest req,
+                                   std::vector<std::optional<dsm::Word>>* out) {
   auto& sched = sys_->scheduler();
-  const sim::Time started = sched.now();
   auto& cm = txn_mgr_->contention();
-  std::vector<Key> keys;
-  if (cfg_.elastic.enabled) {
-    keys.reserve(kvs.size());
-    for (const auto& [key, value] : kvs) {
-      (void)value;
-      keys.push_back(key);
-    }
-  }
+  auto& node = sys_->node(n);
+  const std::vector<Key> keys = txn_keys(req);
+  const bool reads = !req.reads.empty();
+  const bool blind = !req.puts.empty();
+  // The per-key step: what key i holds after the op, given what it holds
+  // now (absent keys start at 0). Reads write nothing.
+  auto next = [&req, blind](std::size_t i, std::optional<dsm::Word> cur) {
+    return blind ? req.puts[i].second : cur.value_or(0) + req.delta;
+  };
+  const sim::Time started = sched.now();
+  std::vector<ShardId> ids = involved_shards(keys);
   std::uint32_t aborts = 0;
   for (;;) {
     // A directory move between attempts re-homes keys; route each attempt
     // against the live map so retries land on the new owners.
     if (cfg_.elastic.enabled) ids = involved_shards(keys);
-    if (cm.should_fallback(aborts)) {
-      // Abort budget exhausted: go irrevocable. The legacy path acquires
-      // the same locks in the same ascending order, so progress is
-      // guaranteed however hot the keys.
-      cm.note_fallback();
-      for (const ShardId s : ids) ++shards_[s]->txn_fallbacks;
-      record_txn_fallback(n, ids, aborts);
-      core::MultiGroupMutex& mux = txn_mutex(ids);
-      co_await multi_put_impl(n, std::move(kvs), std::move(ids), mux).join();
-      co_return;
+    if (cfg_.txn.mode == TxnMode::kLegacy || cm.should_fallback(aborts)) {
+      break;
     }
     txn::Txn t;
     txn_mgr_->begin(t, n);
-    if (cfg_.elastic.enabled) {
-      // Blind puts gain a read-set entry on each involved shard's
-      // DIRECTORY orec stripe: elastic_reassign bumps it under the shard
-      // locks, so a put speculated against the old epoch fails validation
-      // (doomed, not lost) instead of publishing to a shard its key has
-      // already left. Reading the directory stripe — not the slot stripes,
-      // which every single-key put bumps — keeps static traffic free of
-      // false conflicts.
+    if (cfg_.elastic.enabled && !reads) {
+      // Writers gain a read-set entry on each involved shard's DIRECTORY
+      // orec stripe: elastic_reassign bumps it under the shard locks, so a
+      // write speculated against the old epoch fails validation (doomed,
+      // not lost) instead of publishing to a shard its key has already
+      // left — including a key ABSENT from its old owner, which leaves no
+      // moved slot behind to bump. Reading the directory stripe — not the
+      // slot stripes, which every single-key put bumps — keeps static
+      // traffic free of false conflicts.
       for (const ShardId s : ids) {
         Shard& sh = *shards_[s];
         (void)txn_mgr_->read_word(t, sh.site, cfg_.slots_per_shard,
                                   sh.version);
       }
     }
-    const sim::Time spec_began = sched.now();
-    for (const auto& [key, value] : kvs) {
-      Shard& sh = *shards_[map_.shard_of(key)];
-      const auto slot = static_cast<std::uint32_t>(slot_of(key));
-      txn_mgr_->write_word(t, sh.site, slot, sh.slot_keys[slot],
-                           static_cast<dsm::Word>(key));
-      txn_mgr_->write_word(t, sh.site, slot, sh.slot_values[slot], value);
-    }
-    co_await sim::delay(
-        sched, (cfg_.write_compute_ns + 2 * cfg_.txn.tuning.save_ns_per_var) *
-                   static_cast<sim::Duration>(kvs.size()));
-    if (auto* trc = sys_->tracer()) {
-      if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
-        trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kSpeculate,
-                         n, spec_began, sched.now());
-      }
-    }
-    txn::TxnManager::CommitResult res;
-    co_await txn_mgr_->commit(t, &res).join();
-    if (res.committed) {
-      for (const ShardId s : ids) {
-        ++shards_[s]->committed;
-        ++shards_[s]->txn_commits;
-      }
-      record_txn_flight(started, res.locks_acquired_at);
-      co_return;
-    }
-    ++aborts;
-    for (const ShardId s : ids) {
-      ++shards_[s]->txn_aborts;
-      ++shards_[s]->txn_retries;
-    }
-    record_txn_abort(n, res, ids, aborts);
-    co_await cm.backoff(n, aborts).join();
-  }
-}
-
-sim::Process ShardedStore::multi_rmw_direct(dsm::NodeId n,
-                                            std::vector<Key> keys,
-                                            dsm::Word delta) {
-  auto& sched = sys_->scheduler();
-  const sim::Time started = sched.now();
-  std::vector<ShardId> ids = involved_shards(keys);
-  auto& cm = txn_mgr_->contention();
-  std::uint32_t aborts = 0;
-  for (;;) {
-    if (cfg_.elastic.enabled) ids = involved_shards(keys);
-    if (cfg_.txn.mode == TxnMode::kLegacy || cm.should_fallback(aborts)) {
-      if (cfg_.txn.mode == TxnMode::kOcc) {
-        cm.note_fallback();
-        for (const ShardId s : ids) ++shards_[s]->txn_fallbacks;
-        record_txn_fallback(n, ids, aborts);
-      }
-      core::MultiGroupMutex& mux = txn_mutex(ids);
-      co_await multi_rmw_impl(n, std::move(keys), std::move(ids), mux, delta)
-          .join();
-      co_return;
-    }
-    txn::Txn t;
-    txn_mgr_->begin(t, n);
-    if (cfg_.elastic.enabled) {
-      // Same doomed-not-lost guard as multi_put_occ: a key ABSENT from its
-      // (old) owner leaves no moved slot behind to bump, so the slot reads
-      // below would not catch a concurrent directory move — the directory
-      // stripe does.
-      for (const ShardId s : ids) {
-        Shard& sh = *shards_[s];
-        (void)txn_mgr_->read_word(t, sh.site, cfg_.slots_per_shard,
-                                  sh.version);
-      }
-    }
-    const sim::Time spec_began = sched.now();
-    auto& node = sys_->node(n);
-    for (const Key key : keys) {
-      Shard& sh = *shards_[map_.shard_of(key)];
-      const auto slot = static_cast<std::uint32_t>(slot_of(key));
-      // Read-your-writes: both reads are covered by this stripe's write
-      // lock at commit, so the rmw is strictly serializable.
-      const dsm::Word cur_key =
-          txn_mgr_->read_word(t, sh.site, slot, sh.slot_keys[slot]);
-      const dsm::Word cur_val =
-          cur_key == static_cast<dsm::Word>(key)
-              ? node.read(sh.slot_values[slot])
-              : 0;
-      txn_mgr_->write_word(t, sh.site, slot, sh.slot_keys[slot],
-                           static_cast<dsm::Word>(key));
-      txn_mgr_->write_word(t, sh.site, slot, sh.slot_values[slot],
-                           cur_val + delta);
-    }
-    co_await sim::delay(
-        sched, (cfg_.write_compute_ns + 2 * cfg_.txn.tuning.save_ns_per_var) *
-                   static_cast<sim::Duration>(keys.size()));
-    if (auto* trc = sys_->tracer()) {
-      if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
-        trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kSpeculate,
-                         n, spec_began, sched.now());
-      }
-    }
-    txn::TxnManager::CommitResult res;
-    co_await txn_mgr_->commit(t, &res).join();
-    if (res.committed) {
-      for (const ShardId s : ids) {
-        ++shards_[s]->committed;
-        ++shards_[s]->txn_commits;
-      }
-      record_txn_flight(started, res.locks_acquired_at);
-      co_return;
-    }
-    ++aborts;
-    for (const ShardId s : ids) {
-      ++shards_[s]->txn_aborts;
-      ++shards_[s]->txn_retries;
-    }
-    record_txn_abort(n, res, ids, aborts);
-    co_await cm.backoff(n, aborts).join();
-  }
-}
-
-sim::Process ShardedStore::multi_rmw_impl(dsm::NodeId n, std::vector<Key> keys,
-                                          std::vector<ShardId> ids,
-                                          core::MultiGroupMutex& mux,
-                                          dsm::Word delta) {
-  auto& sched = sys_->scheduler();
-  const sim::Time started = sched.now();
-  core::MultiGroupMutex* m = &mux;
-  for (;;) {
-    co_await m->acquire(n).join();
-    if (!cfg_.elastic.enabled) break;
-    // The irrevocable path holds the owners' locks across the compute; if
-    // the directory moved a key while we queued, release and re-acquire
-    // the correct (ascending-ordered) set — never write under the wrong
-    // shard's lock.
-    std::vector<ShardId> now_ids = involved_shards(keys);
-    if (now_ids == ids) break;
-    m->release(n);
-    ids = std::move(now_ids);
-    m = &txn_mutex(ids);
-  }
-  const sim::Time acquired = sched.now();
-  auto& node = sys_->node(n);
-  co_await sim::delay(
-      sched, cfg_.write_compute_ns * static_cast<sim::Duration>(keys.size()));
-  for (const Key key : keys) {
-    Shard& sh = *shards_[map_.shard_of(key)];
-    const std::size_t slot = slot_of(key);
-    const dsm::Word cur =
-        node.read(sh.slot_keys[slot]) == static_cast<dsm::Word>(key)
-            ? node.read(sh.slot_values[slot])
-            : 0;
-    write_slot(sh, node, key, cur + delta);
-  }
-  for (const ShardId s : ids) {
-    Shard& sh = *shards_[s];
-    node.write(sh.version, node.read(sh.version) + 1);
-  }
-  m->release(n);
-  if (auto* trc = sys_->tracer()) {
-    if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
-      trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kCs, n,
-                       acquired, sched.now());
-    }
-  }
-  for (const ShardId s : ids) ++shards_[s]->committed;
-  record_txn_flight(started, acquired);
-}
-
-sim::Process ShardedStore::multi_get_direct(
-    dsm::NodeId n, std::vector<Key> keys,
-    std::vector<std::optional<dsm::Word>>* out) {
-  std::vector<ShardId> ids = involved_shards(keys);
-  auto& cm = txn_mgr_->contention();
-  auto& node = sys_->node(n);
-  std::uint32_t aborts = 0;
-  for (;;) {
-    if (cfg_.elastic.enabled) ids = involved_shards(keys);
-    if (cfg_.txn.mode == TxnMode::kLegacy || cm.should_fallback(aborts)) {
-      // Irrevocable snapshot: read under every involved shard lock.
-      if (cfg_.txn.mode == TxnMode::kOcc) {
-        cm.note_fallback();
-        for (const ShardId s : ids) ++shards_[s]->txn_fallbacks;
-        record_txn_fallback(n, ids, aborts);
-      }
-      core::MultiGroupMutex* mux = &txn_mutex(ids);
-      for (;;) {
-        co_await mux->acquire(n).join();
-        if (!cfg_.elastic.enabled) break;
-        std::vector<ShardId> now_ids = involved_shards(keys);
-        if (now_ids == ids) break;
-        // The directory moved a key while we queued: the locks held are
-        // the wrong set. Release and chase the new owners.
-        mux->release(n);
-        ids = std::move(now_ids);
-        mux = &txn_mutex(ids);
-      }
-      out->clear();
-      for (const Key key : keys) {
-        out->push_back(local_get(n, key));
-      }
-      mux->release(n);
-      co_return;
-    }
-    txn::Txn t;
-    txn_mgr_->begin(t, n);
     std::vector<std::optional<dsm::Word>> snap;
-    snap.reserve(keys.size());
-    for (const Key key : keys) {
-      Shard& sh = *shards_[map_.shard_of(key)];
-      const auto slot = static_cast<std::uint32_t>(slot_of(key));
-      const dsm::Word cur_key =
-          txn_mgr_->read_word(t, sh.site, slot, sh.slot_keys[slot]);
-      if (cur_key == static_cast<dsm::Word>(key)) {
-        snap.emplace_back(node.read(sh.slot_values[slot]));
-      } else {
-        snap.emplace_back(std::nullopt);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      Shard& sh = *shards_[map_.shard_of(keys[i])];
+      const auto slot = static_cast<std::uint32_t>(slot_of(keys[i]));
+      const auto key_word = static_cast<dsm::Word>(keys[i]);
+      // Blind puts read nothing. Adds and reads put the slot's stripe in
+      // the read set; an add's reads are then also covered by that
+      // stripe's write lock at commit, so the rmw is strictly serializable.
+      std::optional<dsm::Word> cur;
+      if (!blind && txn_mgr_->read_word(t, sh.site, slot,
+                                        sh.slot_keys[slot]) == key_word) {
+        cur = node.read(sh.slot_values[slot]);
+      }
+      if (reads) {
+        snap.push_back(cur);
+        continue;
+      }
+      txn_mgr_->write_word(t, sh.site, slot, sh.slot_keys[slot], key_word);
+      txn_mgr_->write_word(t, sh.site, slot, sh.slot_values[slot],
+                           next(i, cur));
+    }
+    if (!reads) {
+      const sim::Time spec_began = sched.now();
+      co_await sim::delay(sched, (cfg_.write_compute_ns +
+                                  2 * cfg_.txn.tuning.save_ns_per_var) *
+                                     static_cast<sim::Duration>(keys.size()));
+      if (auto* trc = sys_->tracer()) {
+        if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
+          trc->record_span(ctx.trace, ctx.span,
+                           telemetry::SpanKind::kSpeculate, n, spec_began,
+                           sched.now());
+        }
       }
     }
-    // Empty write set: commit takes no locks, just validates the read-set
-    // orecs and charges the per-entry cost.
+    // A read-only commit takes no locks: it validates the read-set orecs
+    // and charges the per-entry cost.
     txn::TxnManager::CommitResult res;
     co_await txn_mgr_->commit(t, &res).join();
-    if (res.committed) {
+    if (res.committed && reads) {
       *out = std::move(snap);
       co_return;
     }
+    if (res.committed) {
+      for (const ShardId s : ids) {
+        ++shards_[s]->committed;
+        ++shards_[s]->txn_commits;
+      }
+      record_txn_flight(started, res.locks_acquired_at);
+      co_return;
+    }
     ++aborts;
     for (const ShardId s : ids) {
       ++shards_[s]->txn_aborts;
@@ -824,38 +576,31 @@ sim::Process ShardedStore::multi_get_direct(
     record_txn_abort(n, res, ids, aborts);
     co_await cm.backoff(n, aborts).join();
   }
-}
 
-sim::Process ShardedStore::multi_put_impl(
-    dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs,
-    std::vector<ShardId> ids, core::MultiGroupMutex& mux) {
-  auto& sched = sys_->scheduler();
-  const sim::Time started = sched.now();
-  core::MultiGroupMutex* m = &mux;
-  if (cfg_.elastic.enabled) {
-    std::vector<Key> keys;
-    keys.reserve(kvs.size());
-    for (const auto& [key, value] : kvs) {
-      (void)value;
-      keys.push_back(key);
-    }
-    for (;;) {
-      co_await m->acquire(n).join();
-      std::vector<ShardId> now_ids = involved_shards(keys);
-      if (now_ids == ids) break;
-      m->release(n);
-      ids = std::move(now_ids);
-      m = &txn_mutex(ids);
-    }
-  } else {
-    co_await m->acquire(n).join();
+  // Irrevocable: kLegacy always, kOcc once the abort budget is exhausted.
+  // Every involved lock is held across the whole compute, acquired in the
+  // same ascending order the OCC commit uses, so progress is guaranteed
+  // however hot the keys.
+  if (cfg_.txn.mode == TxnMode::kOcc) {
+    cm.note_fallback();
+    for (const ShardId s : ids) ++shards_[s]->txn_fallbacks;
+    record_txn_fallback(n, ids, aborts);
   }
+  const sim::Time entered = sched.now();
+  core::MultiGroupMutex* mux = nullptr;
+  co_await lock_owners(n, keys, &ids, &mux).join();
   const sim::Time acquired = sched.now();
-  auto& node = sys_->node(n);
+  if (reads) {
+    out->clear();
+    for (const Key key : keys) out->push_back(local_get(n, key));
+    mux->release(n);
+    co_return;
+  }
   co_await sim::delay(
-      sched, cfg_.write_compute_ns * static_cast<sim::Duration>(kvs.size()));
-  for (const auto& [key, value] : kvs) {
-    write_slot(*shards_[map_.shard_of(key)], node, key, value);
+      sched, cfg_.write_compute_ns * static_cast<sim::Duration>(keys.size()));
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    write_slot(*shards_[map_.shard_of(keys[i])], node, keys[i],
+               next(i, local_get(n, keys[i])));
   }
   // One version bump (and one ledger commit) per involved shard, however
   // many of the transaction's keys landed on it.
@@ -863,7 +608,7 @@ sim::Process ShardedStore::multi_put_impl(
     Shard& sh = *shards_[s];
     node.write(sh.version, node.read(sh.version) + 1);
   }
-  m->release(n);
+  mux->release(n);
   if (auto* trc = sys_->tracer()) {
     if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
       trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kCs, n,
@@ -871,9 +616,27 @@ sim::Process ShardedStore::multi_put_impl(
     }
   }
   for (const ShardId s : ids) ++shards_[s]->committed;
-  ++txn_stats_.acquisitions;
-  txn_stats_.acquire_ns.record(static_cast<std::int64_t>(acquired - started));
-  txn_stats_.hold_ns.record(static_cast<std::int64_t>(sched.now() - acquired));
+  record_txn_flight(entered, acquired);
+}
+
+sim::Process ShardedStore::lock_owners(dsm::NodeId n,
+                                       const std::vector<Key>& keys,
+                                       std::vector<ShardId>* ids,
+                                       core::MultiGroupMutex** held) {
+  core::MultiGroupMutex* mux = &txn_mutex(*ids);
+  for (;;) {
+    co_await mux->acquire(n).join();
+    if (!cfg_.elastic.enabled) break;
+    // The directory may have moved a key while we queued: then the locks
+    // held are the wrong set. Release and chase the new owners (again in
+    // ascending order) — never touch a key under the wrong shard's lock.
+    std::vector<ShardId> now_ids = involved_shards(keys);
+    if (now_ids == *ids) break;
+    mux->release(n);
+    *ids = std::move(now_ids);
+    mux = &txn_mutex(*ids);
+  }
+  *held = mux;
 }
 
 // --- elastic fabric --------------------------------------------------------
@@ -1185,10 +948,6 @@ bool ShardedStore::replicas_converged() const {
   return true;
 }
 
-dsm::VarId ShardedStore::lock_var(ShardId s) const {
-  return shards_.at(s)->lock;
-}
-
 dsm::GroupId ShardedStore::group_of(ShardId s) const {
   return shards_.at(s)->group;
 }
@@ -1222,37 +981,8 @@ std::uint64_t ShardedStore::optimistic_path_ops(ShardId s) const {
   return shards_.at(s)->optimistic_ops;
 }
 
-std::uint64_t ShardedStore::txn_commits(ShardId s) const {
-  return shards_.at(s)->txn_commits;
-}
-
-std::uint64_t ShardedStore::txn_aborts(ShardId s) const {
-  return shards_.at(s)->txn_aborts;
-}
-
-std::uint64_t ShardedStore::txn_retries(ShardId s) const {
-  return shards_.at(s)->txn_retries;
-}
-
 std::uint64_t ShardedStore::txn_fallbacks(ShardId s) const {
   return shards_.at(s)->txn_fallbacks;
-}
-
-std::uint64_t ShardedStore::aborts_read_clobber(ShardId s) const {
-  return shards_.at(s)->aborts_read_clobber;
-}
-
-std::uint64_t ShardedStore::aborts_validation(ShardId s) const {
-  return shards_.at(s)->aborts_validation;
-}
-
-std::uint64_t ShardedStore::aborts_dir_epoch(ShardId s) const {
-  return shards_.at(s)->aborts_dir_epoch;
-}
-
-const std::vector<std::uint64_t>& ShardedStore::stripe_conflicts(
-    ShardId s) const {
-  return shards_.at(s)->stripe_conflicts;
 }
 
 void ShardedStore::record_txn_abort(dsm::NodeId n,

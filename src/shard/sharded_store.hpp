@@ -43,8 +43,10 @@
 // against.
 //
 // The operation surface lives on shard::Client (shard/client.hpp):
-// read/write/txn with an explicit ConsistencyLevel. The get/put/multi_*
-// methods below are the pre-Client API, kept as thin deprecated shims.
+// read/write/txn with an explicit ConsistencyLevel. Every multi-key class
+// (puts, adds, reads) runs through one transaction driver: one OCC attempt
+// loop whose only variation is the per-key step, and one irrevocable path
+// that chases moved keys to their new owners' locks.
 //
 // Concurrency contract: operations on one node must not overlap (a node
 // models one instruction stream — the Fig. 4 nesting rule). load::Generator
@@ -143,9 +145,9 @@ struct TxnConfig {
   /// compute (the pre-OCC MultiGroupMutex path, kept as baseline and as
   /// the OCC irrevocable fallback).
   TxnMode mode = TxnMode::kOcc;
-  /// OCC layer tuning. `orec_stripes` is forced to slots_per_shard by the
-  /// store (stripe == slot, so a slot write always bumps the orec its
-  /// readers validated).
+  /// OCC layer tuning. The store forces `orec_stripes` to slots_per_shard
+  /// (stripe == slot, so a slot write always bumps the orec its readers
+  /// validated), plus one directory stripe when the fabric is elastic.
   txn::TxnConfig tuning;
 };
 
@@ -203,6 +205,24 @@ struct ShardedStoreConfig {
   std::uint32_t root_stride = 1;
 
   ElasticConfig elastic;
+};
+
+/// One multi-key transaction. Exactly one operation class may be
+/// populated:
+///   * puts  — atomic multi-key write;
+///   * adds  — multi-key read-modify-write (each value += delta, absent
+///             keys start at 0; the YCSB-F idiom);
+///   * reads — consistent multi-key snapshot (values land in
+///             TxnResult::values, aligned with `reads`).
+struct TxnRequest {
+  std::vector<std::pair<Key, dsm::Word>> puts;
+  std::vector<Key> adds;
+  dsm::Word delta = 0;
+  std::vector<Key> reads;
+};
+
+struct TxnResult {
+  std::vector<std::optional<dsm::Word>> values;
 };
 
 class ShardedStore {
@@ -279,29 +299,6 @@ class ShardedStore {
     access_observer_ = std::move(fn);
   }
 
-  // --- pre-Client API (deprecated shims) ---------------------------------
-  /// Local read on node `n`. Full replication only — partial-replication
-  /// reads need a consistency level; use shard::Client::read.
-  [[deprecated("use shard::Client::read")]] std::optional<dsm::Word> get(
-      dsm::NodeId n, Key key) const;
-
-  /// Single-key write under the owning shard's lock.
-  [[deprecated("use shard::Client::write")]] sim::Process put(
-      dsm::NodeId n, Key key, dsm::Word value);
-
-  /// Multi-key atomic write.
-  [[deprecated("use shard::Client::txn")]] sim::Process multi_put(
-      dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs);
-
-  /// Multi-key read-modify-write (+= delta; absent keys start at 0).
-  [[deprecated("use shard::Client::txn")]] sim::Process multi_rmw(
-      dsm::NodeId n, std::vector<Key> keys, dsm::Word delta);
-
-  /// Multi-key consistent snapshot.
-  [[deprecated("use shard::Client::txn")]] sim::Process multi_get(
-      dsm::NodeId n, std::vector<Key> keys,
-      std::vector<std::optional<dsm::Word>>* out);
-
   // --- end-of-run rollup -------------------------------------------------
   /// Fills the lock/root/ledger/lease side of `report` (resizing its shard
   /// list if needed): per-shard LockStats, root sequencing/frame rollup,
@@ -322,7 +319,6 @@ class ShardedStore {
                           const stats::ServiceReport& live);
 
   // --- per-shard introspection (tests, benches) -------------------------
-  [[nodiscard]] dsm::VarId lock_var(ShardId s) const;
   [[nodiscard]] dsm::GroupId group_of(ShardId s) const;
   [[nodiscard]] dsm::NodeId root_of(ShardId s) const;
   [[nodiscard]] std::uint64_t committed_writes(ShardId s) const;
@@ -340,19 +336,10 @@ class ShardedStore {
   }
   /// OCC layer introspection (orec versions, contention counters).
   [[nodiscard]] txn::TxnManager& txn_manager() { return *txn_mgr_; }
-  /// Cross-shard transactions that committed / aborted / retried with this
-  /// shard involved, plus escalations to the irrevocable fallback.
-  [[nodiscard]] std::uint64_t txn_commits(ShardId s) const;
-  [[nodiscard]] std::uint64_t txn_aborts(ShardId s) const;
-  [[nodiscard]] std::uint64_t txn_retries(ShardId s) const;
+  /// Escalations to the irrevocable fallback with this shard involved.
+  /// The other per-shard txn counters (commits, aborts, retries, the
+  /// abort-reason partition, the stripe heatmap) export via fill_report.
   [[nodiscard]] std::uint64_t txn_fallbacks(ShardId s) const;
-  /// Abort-reason partition and per-stripe conflict heatmap (forensics;
-  /// see the Shard field comments for the sum invariant).
-  [[nodiscard]] std::uint64_t aborts_read_clobber(ShardId s) const;
-  [[nodiscard]] std::uint64_t aborts_validation(ShardId s) const;
-  [[nodiscard]] std::uint64_t aborts_dir_epoch(ShardId s) const;
-  [[nodiscard]] const std::vector<std::uint64_t>& stripe_conflicts(
-      ShardId s) const;
 
  private:
   friend class Client;
@@ -403,13 +390,15 @@ class ShardedStore {
   sim::Process read_op(dsm::NodeId n, Key key, std::optional<dsm::Word>* out,
                        ConsistencyLevel level);
   sim::Process write_op(dsm::NodeId n, Key key, dsm::Word value);
-  sim::Process multi_put_op(dsm::NodeId n,
-                            std::vector<std::pair<Key, dsm::Word>> kvs);
-  sim::Process multi_rmw_op(dsm::NodeId n, std::vector<Key> keys,
-                            dsm::Word delta);
-  sim::Process multi_get_op(dsm::NodeId n, std::vector<Key> keys,
-                            std::vector<std::optional<dsm::Word>>* out,
-                            ConsistencyLevel level);
+  /// The keys `req` touches, in request order. Contract: exactly one
+  /// class is populated.
+  [[nodiscard]] static std::vector<Key> txn_keys(const TxnRequest& req);
+  /// Multi-key transaction entry: partial mode serves warm snapshot reads
+  /// from local leases, else forwards to the primary shard's root;
+  /// full replication runs the driver on `n`. `result` may be null unless
+  /// `req.reads` is the populated class.
+  sim::Process txn_op(dsm::NodeId n, TxnRequest req, TxnResult* result,
+                      ConsistencyLevel level);
 
   [[nodiscard]] std::optional<dsm::Word> local_get(dsm::NodeId n,
                                                    Key key) const;
@@ -423,22 +412,21 @@ class ShardedStore {
                           dsm::Word value, bool* moved);
   sim::Process put_optimistic(Shard& sh, ShardId sid, dsm::NodeId n, Key key,
                               dsm::Word value, bool* moved);
-  sim::Process multi_put_direct(dsm::NodeId n,
-                                std::vector<std::pair<Key, dsm::Word>> kvs);
-  sim::Process multi_rmw_direct(dsm::NodeId n, std::vector<Key> keys,
-                                dsm::Word delta);
-  sim::Process multi_get_direct(dsm::NodeId n, std::vector<Key> keys,
-                                std::vector<std::optional<dsm::Word>>* out);
-  sim::Process multi_put_impl(dsm::NodeId n,
-                              std::vector<std::pair<Key, dsm::Word>> kvs,
-                              std::vector<ShardId> ids,
-                              core::MultiGroupMutex& mux);
-  sim::Process multi_put_occ(dsm::NodeId n,
-                             std::vector<std::pair<Key, dsm::Word>> kvs,
-                             std::vector<ShardId> ids);
-  sim::Process multi_rmw_impl(dsm::NodeId n, std::vector<Key> keys,
-                              std::vector<ShardId> ids,
-                              core::MultiGroupMutex& mux, dsm::Word delta);
+  /// The transaction driver, executing on node `n` (full mode: the
+  /// caller's node; partial mode: the primary root's, via its proxy
+  /// chain). Under kOcc: re-route, speculate, commit, and on abort account,
+  /// back off and retry until the contention manager's budget runs out;
+  /// then — or always, under kLegacy — run irrevocably under every owner's
+  /// lock. Reads land in `*out`.
+  sim::Process run_txn(dsm::NodeId n, TxnRequest req,
+                       std::vector<std::optional<dsm::Word>>* out);
+  /// Acquires the MultiGroupMutex of `*ids` (the owners of `keys`); on an
+  /// elastic fabric re-checks ownership after the grant and, if the
+  /// directory moved a key meanwhile, releases and chases the new owners.
+  /// On return `*held` is held and `*ids` names its shards.
+  sim::Process lock_owners(dsm::NodeId n, const std::vector<Key>& keys,
+                           std::vector<ShardId>* ids,
+                           core::MultiGroupMutex** held);
 
   // --- partial-replication routing --------------------------------------
   using OpThunk = std::function<sim::Process()>;
@@ -479,7 +467,8 @@ class ShardedStore {
 
   /// The two-phase directory move primitive behind split/merge/promote/
   /// demote. Under the {src, dst} shard locks it moves every src slot
-  /// whose key satisfies `pred` into dst, bumps every src orec stripe
+  /// whose key satisfies `pred` into dst, bumps the orec stripe of each
+  /// moved slot on both sides plus both shards' directory stripes
   /// (dooming racing OCC transactions at the old epoch), commits one
   /// write section per involved shard (the ledger stays exact), snapshots
   /// the old map into history, and installs `mutate`'s new epoch. Runs on

@@ -311,6 +311,53 @@ TEST(Directory, PromoteRoutesToTheHotGroupAndDemoteReturnsHome) {
   expect_ledgers_exact(f);
 }
 
+// The lock chase: an irrevocable multi-key op queued on the shard locks
+// while the directory promotes one of its keys must notice, after its
+// grant, that it holds the wrong owners' locks, release them, and commit
+// under the new owners'. A long compute keeps the first op holding shards
+// {0, 1} while the promote (at 50us) and then the second op (at 100us)
+// queue behind it on shard 0's lock.
+TEST(Directory, IrrevocableTxnChasesAKeyPromotedWhileItQueued) {
+  shard::ShardedStoreConfig cfg = elastic_cfg();
+  cfg.txn.mode = shard::TxnMode::kLegacy;
+  cfg.write_compute_ns = 100'000;
+  Fixture f(cfg);
+  elastic::DirectoryManager dir(f.store);
+  const ShardId hot = f.store.base_shards();
+  ASSERT_EQ(f.store.shard_of(7), 0u);
+  ASSERT_EQ(f.store.shard_of(20), 1u);
+
+  auto add = [&](dsm::NodeId n, sim::Duration at,
+                 dsm::Word delta) -> sim::Process {
+    co_await sim::delay(f.sched, at);
+    shard::TxnRequest req;
+    req.adds = {7, 20};
+    req.delta = delta;
+    co_await f.client.txn(n, std::move(req)).join();
+  };
+  auto promote_later = [&]() -> sim::Process {
+    co_await sim::delay(f.sched, 50'000);
+    co_await dir.promote(7, hot).join();
+  };
+  auto first = add(1, 0, 1);
+  auto mover = promote_later();
+  auto second = add(2, 100'000, 10);
+  f.sched.run();
+  first.rethrow_if_failed();
+  mover.rethrow_if_failed();
+  second.rethrow_if_failed();
+
+  EXPECT_EQ(f.store.shard_of(7), hot);
+  EXPECT_EQ(read_run(f, 3, 7).value_or(0), 11);
+  EXPECT_EQ(read_run(f, 3, 20).value_or(0), 11);
+  // Shard 0 committed the first op and the move only; the second op's
+  // write section landed on the hot group, after the move's.
+  EXPECT_EQ(f.store.committed_writes(0), 2u);
+  EXPECT_EQ(f.store.committed_writes(1), 2u);
+  EXPECT_EQ(f.store.committed_writes(hot), 2u);
+  expect_ledgers_exact(f);
+}
+
 // ------------------------------------------- stale-directory clients ---
 
 TEST(Client, StaleEpochIsRedirectedNeverWrong) {

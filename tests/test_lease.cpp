@@ -66,8 +66,7 @@ struct Fixture {
 
 TEST(LeaseConfigDefaults, FullReplicationNeverBuildsTheTier) {
   // The seed configuration: no server_nodes split, no lease manager, every
-  // node a member. The deprecated surface and the Client facade both serve
-  // reads from local replica memory.
+  // node a member, so every read is served from local replica memory.
   sim::Scheduler sched;
   const auto topo = net::MeshTorus2D::near_square(8);
   dsm::DsmSystem sys(sched, topo, dsm::DsmConfig{});

@@ -304,46 +304,5 @@ TEST(ShardedStore, FillReportRollsUpEveryShard) {
   EXPECT_GT(report.messages, 0u);
 }
 
-// The pre-Client methods must keep working until callers finish migrating:
-// each shim delegates to the Client entry points, so values written through
-// one surface read back identically through the other.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-sim::Process shim_ops(Fixture& f) {
-  co_await f.store.put(0, 11, 110).join();
-  std::vector<std::pair<Key, dsm::Word>> kvs;
-  kvs.emplace_back(12, 120);
-  kvs.emplace_back(13, 130);
-  co_await f.store.multi_put(1, std::move(kvs)).join();
-  std::vector<Key> rmw_keys;
-  rmw_keys.push_back(11);
-  co_await f.store.multi_rmw(2, std::move(rmw_keys), 5).join();
-}
-
-TEST(ShardedStore, DeprecatedShimsStillServe) {
-  ShardedStoreConfig cfg;
-  cfg.slots_per_shard = 16;
-  Fixture f(cfg);
-  auto p = shim_ops(f);
-  f.sched.run();
-  p.rethrow_if_failed();
-  EXPECT_EQ(f.store.get(3, 11), std::optional<dsm::Word>(115));
-  EXPECT_EQ(f.store.get(4, 12), std::optional<dsm::Word>(120));
-  EXPECT_EQ(f.store.get(5, 13), std::optional<dsm::Word>(130));
-  // And the new surface observes the same state.
-  EXPECT_EQ(read_now(f, 6, 11), std::optional<dsm::Word>(115));
-
-  std::vector<std::optional<dsm::Word>> snap;
-  auto g = f.store.multi_get(0, {11, 12, 13}, &snap);
-  f.sched.run();
-  g.rethrow_if_failed();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0], std::optional<dsm::Word>(115));
-  EXPECT_EQ(snap[1], std::optional<dsm::Word>(120));
-  EXPECT_EQ(snap[2], std::optional<dsm::Word>(130));
-  EXPECT_TRUE(f.store.replicas_converged());
-}
-#pragma GCC diagnostic pop
-
 }  // namespace
 }  // namespace optsync::shard

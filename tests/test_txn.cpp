@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "load/generator.hpp"
@@ -17,6 +18,7 @@
 #include "simkern/assert.hpp"
 #include "sync/gwc_lock.hpp"
 #include "txn/contention.hpp"
+#include "telemetry/journal.hpp"
 #include "txn/orec.hpp"
 
 namespace optsync::txn {
@@ -307,9 +309,10 @@ TEST(ContentionManager, JitteredBackoffIsDeterministicPerSeed) {
 // ------------------------------------------------- store-level transactions ---
 
 struct StoreFixture {
-  explicit StoreFixture(shard::ShardedStoreConfig scfg = {})
+  explicit StoreFixture(shard::ShardedStoreConfig scfg = {},
+                        dsm::DsmConfig dcfg = {})
       : topo(net::MeshTorus2D::near_square(8)),
-        sys(sched, topo, dsm::DsmConfig{}),
+        sys(sched, topo, dcfg),
         store(sys, scfg),
         client(store) {}
   sim::Scheduler sched;
@@ -460,6 +463,114 @@ TEST(StoreTxn, AbortBudgetEscalatesToIrrevocableFallback) {
     fallbacks += f.store.txn_fallbacks(s);
   }
   EXPECT_GT(fallbacks, 0u);
+}
+
+
+// Multi-gets on nodes 6 and 7 race writers on nodes 0-5 that add 1 to
+// every key of {5, 6, 7} at once, from a committed all-zero start. Any
+// committed snapshot therefore reads three equal values; a torn read (one
+// key before a writer's commit, another after) breaks the equality.
+// Returns every snapshot taken.
+std::vector<std::vector<std::optional<dsm::Word>>> race_snapshots(
+    StoreFixture& f) {
+  const std::vector<shard::Key> keys{5, 6, 7};
+  auto zero_keys = [&]() -> sim::Process {
+    shard::TxnRequest req;
+    req.puts = {{5, 0}, {6, 0}, {7, 0}};
+    co_await f.client.txn(0, std::move(req)).join();
+  };
+  auto seed = zero_keys();
+  f.sched.run();
+  seed.rethrow_if_failed();
+
+  std::vector<std::vector<std::optional<dsm::Word>>> snaps;
+  auto writer = [&](dsm::NodeId n) -> sim::Process {
+    for (int k = 0; k < 6; ++k) {
+      shard::TxnRequest req;
+      req.adds = keys;
+      req.delta = 1;
+      co_await f.client.txn(n, std::move(req)).join();
+    }
+  };
+  auto reader = [&](dsm::NodeId n) -> sim::Process {
+    for (int k = 0; k < 8; ++k) {
+      shard::TxnRequest req;
+      req.reads = keys;
+      shard::TxnResult res;
+      co_await f.client.txn(n, std::move(req), &res).join();
+      snaps.push_back(std::move(res.values));
+    }
+  };
+  std::vector<sim::Process> procs;
+  for (dsm::NodeId n = 0; n < 6; ++n) procs.push_back(writer(n));
+  procs.push_back(reader(6));
+  procs.push_back(reader(7));
+  f.sched.run();
+  for (auto& p : procs) p.rethrow_if_failed();
+
+  for (dsm::NodeId n = 0; n < 8; ++n) {
+    EXPECT_EQ(read_now(f, n, 5).value_or(-1), 36) << "node " << n;
+  }
+  EXPECT_TRUE(f.store.replicas_converged());
+  stats::ServiceReport report;
+  f.store.fill_report(report);
+  EXPECT_TRUE(report.serializable());
+  return snaps;
+}
+
+void expect_committed_snapshots(
+    const std::vector<std::vector<std::optional<dsm::Word>>>& snaps) {
+  ASSERT_EQ(snaps.size(), 16u);
+  for (const auto& snap : snaps) {
+    ASSERT_EQ(snap.size(), 3u);
+    ASSERT_TRUE(snap[0].has_value());
+    EXPECT_GE(*snap[0], 0);
+    EXPECT_LE(*snap[0], 36);
+    EXPECT_EQ(snap[1], snap[0]) << "torn snapshot";
+    EXPECT_EQ(snap[2], snap[0]) << "torn snapshot";
+  }
+}
+
+TEST(StoreTxn, LegacyMultiGetReadsACommittedSnapshot) {
+  shard::ShardedStoreConfig scfg;
+  scfg.txn.mode = shard::TxnMode::kLegacy;
+  StoreFixture f(scfg);
+  expect_committed_snapshots(race_snapshots(f));
+  // The legacy path never touches the OCC layer.
+  EXPECT_EQ(f.store.txn_manager().commits(), 0u);
+  EXPECT_EQ(f.store.txn_manager().aborts(), 0u);
+  EXPECT_EQ(f.store.txn_manager().contention().fallbacks_signalled(), 0u);
+}
+
+TEST(StoreTxn, MultiGetFallbackReadsACommittedSnapshotAndIsCounted) {
+  shard::ShardedStoreConfig scfg;
+  scfg.txn.tuning.contention.max_aborts = 1;  // escalate after one abort
+  // A read-only commit is validation alone; widen its window so writer
+  // commits land inside it and abort the multi-gets.
+  scfg.txn.tuning.validate_ns_per_entry = 20'000;
+  telemetry::Journal journal;
+  dsm::DsmConfig dcfg;
+  dcfg.journal = &journal;
+  StoreFixture f(scfg, dcfg);
+  expect_committed_snapshots(race_snapshots(f));
+  // At least one multi-get (node 6 or 7) was aborted by a writer's commit
+  // and escalated to the irrevocable read under the shard locks.
+  std::uint64_t reader_fallbacks = 0;
+  for (const auto& e : journal.events()) {
+    if (e.kind == telemetry::Journal::Kind::kTxnAbort &&
+        e.reason == telemetry::AbortReason::kFallbackEscalation &&
+        e.node >= 6) {
+      ++reader_fallbacks;
+    }
+  }
+  EXPECT_GT(reader_fallbacks, 0u);
+  std::uint64_t fallbacks = 0;
+  for (shard::ShardId s = 0; s < f.store.shards(); ++s) {
+    fallbacks += f.store.txn_fallbacks(s);
+  }
+  EXPECT_GE(fallbacks, reader_fallbacks);
+  EXPECT_GE(f.store.txn_manager().contention().fallbacks_signalled(),
+            reader_fallbacks);
 }
 
 }  // namespace

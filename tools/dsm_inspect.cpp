@@ -8,7 +8,7 @@
 // lease epochs churned, and whether the critical-path extraction explains
 // the latency tail.
 //
-//   dsm_inspect --journal run.journal.json --metrics run.metrics.json \
+//   dsm_inspect --journal run.journal.json --metrics run.metrics.json
 //               --check-abort-sums --min-p99-named 0.95
 //
 // Exit status is nonzero on parse errors, schema violations (a txn_abort
