@@ -10,7 +10,6 @@ namespace optsync::core {
 
 using dsm::kLockFree;
 using dsm::lock_grant_value;
-using dsm::lock_held;
 using dsm::lock_request_value;
 using dsm::NodeId;
 using dsm::VarId;
@@ -24,7 +23,7 @@ OptimisticMutex::OptimisticMutex(dsm::DsmSystem& sys, VarId lock, Config cfg)
 OptimisticMutex::NodeState& OptimisticMutex::state(NodeId n) {
   auto it = states_.find(n);
   if (it == states_.end()) {
-    it = states_.emplace(n, NodeState(cfg_.history_decay)).first;
+    it = states_.emplace(n, NodeState(n, cfg_.history_decay)).first;
   }
   return it->second;
 }
@@ -38,7 +37,7 @@ bool OptimisticMutex::try_speculate(NodeId n) const {
   if (sys_->node(n).read(lock_) != kLockFree) return false;
   const auto it = states_.find(n);
   return it == states_.end() ||
-         !it->second.history.indicates_usage(cfg_.history_threshold);
+         !it->second.req.history().indicates_usage(cfg_.history_threshold);
 }
 
 sim::Process OptimisticMutex::acquire(NodeId n) {
@@ -49,8 +48,7 @@ sim::Process OptimisticMutex::acquire(NodeId n) {
 
   const Word old_val = node.atomic_exchange(lock_, lock_request_value(n));
   emit(n, trace::EventKind::kLockRequest, lock_request_value(n));
-  st.history.observe(
-      lock_held(old_val) && dsm::lock_holder(old_val) != n ? 1.0 : 0.0);
+  st.req.request(old_val);
   while (node.read(lock_) != lock_grant_value(n)) {
     co_await node.on_change(lock_).wait();
   }
@@ -71,7 +69,7 @@ void OptimisticMutex::release(NodeId n) {
 
 double OptimisticMutex::history_value(NodeId n) const {
   const auto it = states_.find(n);
-  return it == states_.end() ? 0.0 : it->second.history.value();
+  return it == states_.end() ? 0.0 : it->second.req.history().value();
 }
 
 bool OptimisticMutex::in_section(NodeId n) const {
@@ -97,39 +95,28 @@ void OptimisticMutex::emit(NodeId n, trace::EventKind kind, Word value) {
 // Interrupt code (paper Fig. 5). Invoked by the sharing interface when an
 // armed lock change arrives; insharing is already suspended. Runs the
 // decision logic; actual rollback work (which takes simulated time) is
-// deferred to the execute() coroutine via pending_rollback.
+// deferred to the execute() coroutine via Requester::rollback_pending().
 void OptimisticMutex::on_lock_interrupt(NodeId n, Word value) {
-  auto& st = state(n);
   auto& node = sys_->node(n);
-
-  if (dsm::lock_granted_to(value, n)) {
-    // Permission for the local CPU: stop watching, let queued updates flow.
-    node.disarm_interrupt(lock_);
-    node.resume_insharing();
-    return;
+  switch (state(n).req.on_lock_change(value)) {
+    case Requester::Verdict::kGranted:
+      // Permission for the local CPU: stop watching, let queued updates flow.
+      node.disarm_interrupt(lock_);
+      node.resume_insharing();
+      return;
+    case Requester::Verdict::kMomentaryFree:  // our grant will follow
+    case Requester::Verdict::kLost:  // regular path: nothing speculated on
+      node.resume_insharing();
+      return;
+    case Requester::Verdict::kRollback:
+      // Optimistic execution failed: leave insharing suspended so the
+      // journal can be restored before any of the new holder's updates
+      // touch memory. The execute() coroutine performs the timed restore
+      // and then resumes insharing (rollback code, Fig. 4 lines 22-26).
+      sim::log_debug("n", n, " speculation failed: lock granted to n",
+                     dsm::lock_holder(value));
+      return;
   }
-  if (value == kLockFree) {
-    // Momentary free (previous holder released before our request reached
-    // the root). Keep watching; our grant will follow.
-    node.resume_insharing();
-    return;
-  }
-
-  // Another processor got the lock.
-  OPTSYNC_ENSURE(lock_held(value));
-  st.history.observe(1.0);  // P9: update usage frequency history
-  if (!st.variables_saved) {
-    // Regular path in progress — values were never speculated on.
-    node.resume_insharing();
-    return;
-  }
-  // Optimistic execution failed: leave insharing suspended so the journal
-  // can be restored before any of the new holder's updates touch memory.
-  // The execute() coroutine performs the timed restore and then resumes
-  // insharing (rollback code, Fig. 4 lines 22-26).
-  st.pending_rollback = true;
-  sim::log_debug("n", n, " speculation failed: lock granted to n",
-                 dsm::lock_holder(value));
 }
 
 sim::Process OptimisticMutex::execute(NodeId n, Section section,
@@ -166,9 +153,7 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
   auto& sched = sys_->scheduler();
   auto& st = state(n);
   st.in_section = true;
-  st.variables_saved = false;  // line 02
-  st.pending_rollback = false;
-  st.rolled_back = false;
+  st.req.begin();  // line 02
   ++stats_.executions;
 
   ExecuteStats local_stats;
@@ -194,8 +179,7 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
   emit(n, trace::EventKind::kLockRequest, lock_request_value(n));
 
   // Line 05: update usage frequency history from the observed local state.
-  const bool was_busy = lock_held(old_val) && dsm::lock_holder(old_val) != n;
-  st.history.observe(was_busy ? 1.0 : 0.0);
+  st.req.request(old_val);
 
   // Line 06: watch for lock changes; the interrupt atomically suspends
   // insharing when it fires.
@@ -204,21 +188,15 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
   });
 
   // Line 07: does anything indicate current or recent usage?
-  const bool indicates_usage =
-      was_busy || old_val != kLockFree ||
-      st.history.indicates_usage(cfg_.history_threshold);
-  // Did the EWMA estimate alone veto speculation? (Local evidence — a held
-  // or in-flight lock word — would have forced the regular path anyway.)
-  const bool history_veto =
-      cfg_.enable_optimistic && !was_busy && old_val == kLockFree &&
-      st.history.indicates_usage(cfg_.history_threshold);
+  const Requester::Path path =
+      st.req.choose(cfg_.enable_optimistic, cfg_.history_threshold);
 
   sim::Time acquired_at = 0;  // ownership confirmed (grant observed locally)
 
-  if (!cfg_.enable_optimistic || indicates_usage) {
+  if (!path.optimistic) {
     // ---- Regular path (lines 08-12) ----------------------------------
     ++stats_.regular_paths;
-    if (history_veto) {
+    if (path.history_veto) {
       ++stats_.history_vetoes;
       if (cfg_.lock_stats != nullptr) ++cfg_.lock_stats->history_vetoes;
       emit(n, trace::EventKind::kHistoryVeto, old_val);
@@ -257,7 +235,10 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
     if (section.save_locals) {
       st.journal.add_local(section.save_locals, section.restore_locals);
     }
-    st.variables_saved = true;  // line 16
+    // Line 16. Never refused here: arming, choosing and saving run inside
+    // one scheduler event, so no grant can have arrived in between.
+    const bool started = st.req.start_speculation();
+    OPTSYNC_ENSURE(started);
     const sim::Duration save_cost =
         cfg_.save_cost_per_var_ns *
         (section.shared_writes.size() + (section.save_locals ? 1 : 0));
@@ -275,7 +256,7 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
     // reported that another CPU won.
     const sim::Time wait_began = sched.now();
     for (;;) {
-      if (st.pending_rollback) {
+      if (st.req.rollback_pending()) {
         // Rollback (lines 22-26): restore takes local-memory time; the
         // sharing interface keeps insharing suspended throughout.
         OPTSYNC_ENSURE(node.insharing_suspended());
@@ -289,9 +270,7 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
                            sched.now());
         }
         st.journal.restore(node);
-        st.variables_saved = false;  // line 24
-        st.pending_rollback = false;
-        st.rolled_back = true;
+        st.req.finish_rollback();  // line 24
         ++stats_.rollbacks;
         local_stats.rolled_back = true;
         if (cfg_.lock_stats != nullptr) ++cfg_.lock_stats->rollbacks;
@@ -310,7 +289,7 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
     acquired_at = sched.now();
     if (wait_span != 0) trc->end_span(wait_span, acquired_at);
 
-    if (st.rolled_back) {
+    if (st.req.rolled_back()) {
       // The speculation was undone; run the section for real now that the
       // lock is held and every local shared value is valid (GWC ordering:
       // all of the previous holder's writes preceded our grant).
@@ -322,7 +301,7 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
       emit(n, trace::EventKind::kSpeculateCommit, lock_grant_value(n));
       emit(n, trace::EventKind::kLockAcquire, lock_grant_value(n));
       st.journal.discard();
-      st.variables_saved = false;
+      st.req.commit();
     }
   }
 

@@ -22,8 +22,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/requester.hpp"
 #include "core/rollback_journal.hpp"
-#include "core/usage_history.hpp"
 #include "dsm/system.hpp"
 #include "simkern/coro.hpp"
 #include "stats/lock_stats.hpp"
@@ -142,14 +142,10 @@ class OptimisticMutex : public sync::Lock {
 
  private:
   struct NodeState {
-    explicit NodeState(double decay) : history(decay) {}
-    UsageHistory history;
+    NodeState(dsm::NodeId n, double decay) : req(n, decay) {}
+    Requester req;
     RollbackJournal journal;
     bool in_section = false;
-    bool variables_saved = false;   // Fig. 4 line 02/16/24
-    bool pending_rollback = false;  // set by the interrupt, consumed by the
-                                    // execute coroutine
-    bool rolled_back = false;       // body must re-run after grant
   };
 
   NodeState& state(dsm::NodeId n);

@@ -3,12 +3,11 @@
 #include "dsm/system.hpp"
 #include "simkern/assert.hpp"
 #include "simkern/log.hpp"
-#include "trace/recorder.hpp"
 
 namespace optsync::dsm {
 
 DsmNode::DsmNode(DsmSystem& sys, NodeId id)
-    : sys_(&sys), id_(id), hw_blocking_(sys.config().hardware_blocking) {}
+    : sys_(&sys), id_(id) {}
 
 void DsmNode::ensure_capacity(VarId v) {
   if (v >= memory_.size()) memory_.resize(v + 1, 0);
@@ -104,10 +103,6 @@ void DsmNode::disarm_interrupt(VarId v) {
   idx = kNoInterrupt;
 }
 
-bool DsmNode::interrupt_armed(VarId v) const {
-  return v < interrupt_idx_.size() && interrupt_idx_[v] != kNoInterrupt;
-}
-
 sim::Signal& DsmNode::on_change(VarId v) {
   if (v >= signals_.size()) signals_.resize(v + 1);
   auto& slot = signals_[v];
@@ -157,25 +152,18 @@ void DsmNode::deliver_frame(GroupId g, const Frame& frame) {
   }
 }
 
+void DsmNode::record(trace::Recorder& rec, trace::EventKind kind,
+                     const Pending& p, VarKind var_kind) const {
+  rec.record(trace::Event{sys_->scheduler().now(), kind, id_, p.group, p.var,
+                          p.seq, p.value, p.origin, var_kind_name(var_kind)});
+}
+
 void DsmNode::apply(const Pending& p) {
-  // Hardware blocking (Fig. 6): drop root echoes of this node's own writes
-  // to mutex-protected data so a late echo can never overwrite values
-  // restored by a rollback. Lock variables are never dropped.
   const VarInfo& info = sys_->var(p.var);
-  if (hw_blocking_ && p.origin == id_ && info.kind == VarKind::kMutexData) {
+  if (hw_blocking_ && echo_blocked(info.kind, p.origin, id_)) {
     ++stats_.echoes_dropped;
     if (auto* rec = sys_->recorder()) {
-      trace::Event e;
-      e.t = sys_->scheduler().now();
-      e.kind = trace::EventKind::kEchoDrop;
-      e.node = id_;
-      e.group = p.group;
-      e.var = p.var;
-      e.seq = p.seq;
-      e.value = p.value;
-      e.origin = p.origin;
-      e.label = var_kind_name(info.kind);
-      rec->record(e);
+      record(*rec, trace::EventKind::kEchoDrop, p, info.kind);
     }
     return;
   }
@@ -190,17 +178,7 @@ void DsmNode::apply(const Pending& p) {
   memory_[p.var] = p.value;
   ++stats_.updates_applied;
   if (auto* rec = sys_->recorder()) {
-    trace::Event e;
-    e.t = sys_->scheduler().now();
-    e.kind = trace::EventKind::kNodeApply;
-    e.node = id_;
-    e.group = p.group;
-    e.var = p.var;
-    e.seq = p.seq;
-    e.value = p.value;
-    e.origin = p.origin;
-    e.label = var_kind_name(info.kind);
-    rec->record(e);
+    record(*rec, trace::EventKind::kNodeApply, p, info.kind);
   }
   if (log_applied_) {
     applied_[p.group].push_back(

@@ -18,6 +18,7 @@
 #include "dsm/frame.hpp"
 #include "dsm/types.hpp"
 #include "simkern/coro.hpp"
+#include "trace/recorder.hpp"
 #include "util/ring.hpp"
 
 namespace optsync::dsm {
@@ -64,14 +65,13 @@ class DsmNode {
   using InterruptHandler = std::function<void(VarId, Word, NodeId origin)>;
   void arm_interrupt(VarId v, InterruptHandler handler);
   void disarm_interrupt(VarId v);
-  [[nodiscard]] bool interrupt_armed(VarId v) const;
 
   /// Signal notified after any change to `v`'s local copy (local writes and
   /// applied root updates alike). Coroutines wait on it for lock grants.
   sim::Signal& on_change(VarId v);
 
-  /// Per-node override of the Fig. 6 hardware blocking switch (defaults to
-  /// the system config value).
+  /// Per-node switch for Fig. 6 hardware blocking (on by default; off only
+  /// to demonstrate the late-echo hazard).
   void set_hardware_blocking(bool enabled) { hw_blocking_ = enabled; }
   [[nodiscard]] bool hardware_blocking() const { return hw_blocking_; }
 
@@ -129,6 +129,8 @@ class DsmNode {
 
   void accept(const Pending& p);
   void apply(const Pending& p);
+  void record(trace::Recorder& rec, trace::EventKind kind, const Pending& p,
+              VarKind var_kind) const;
   void ensure_capacity(VarId v);
 
   /// Per-group in-order delivery gate. GWC needs every member to apply a

@@ -6,7 +6,6 @@
 #include "simkern/assert.hpp"
 #include "simkern/log.hpp"
 #include "telemetry/tracer.hpp"
-#include "trace/recorder.hpp"
 
 namespace optsync::dsm {
 
@@ -16,21 +15,12 @@ GroupRoot::GroupRoot(DsmSystem& sys, GroupId gid)
       coalesce_writes_(std::max(1u, sys.config().coalesce_max_writes)),
       coalesce_ns_(sys.config().coalesce_max_ns) {}
 
-GroupRoot::LockEntry& GroupRoot::lock_entry(VarId v) {
-  for (LockEntry& e : locks_) {
-    if (e.var == v) return e;
-  }
-  locks_.emplace_back();
-  locks_.back().var = v;
-  return locks_.back();
-}
-
-const GroupRoot::LockState& GroupRoot::lock_state(VarId lock) const {
-  static const LockState kIdle;
-  for (const LockEntry& e : locks_) {
-    if (e.var == lock) return e.state;
-  }
-  return kIdle;
+void GroupRoot::record(trace::Recorder& rec, trace::EventKind kind, VarId v,
+                       std::uint64_t seq, Word value, NodeId origin,
+                       std::string_view label) const {
+  rec.record(trace::Event{sys_->scheduler().now(), kind,
+                          sys_->group(gid_).root(), gid_, v, seq, value,
+                          origin, label});
 }
 
 void GroupRoot::set_coalesce(std::uint32_t max_writes, sim::Duration max_ns) {
@@ -57,9 +47,6 @@ void GroupRoot::on_arrival(NodeId origin, VarId v, Word value,
     constexpr std::size_t kHandoffLogCap = 65536;
     OPTSYNC_ENSURE(handoff_log_.size() < kHandoffLogCap);
     handoff_log_.push_back(HeldArrival{origin, v, value, ctx});
-    ++mig_stats_.handoff_logged;
-    mig_stats_.max_handoff_log =
-        std::max(mig_stats_.max_handoff_log, handoff_log_.size());
     return;
   }
 
@@ -69,28 +56,18 @@ void GroupRoot::on_arrival(NodeId origin, VarId v, Word value,
       return;
 
     case VarKind::kMutexData:
-      if (sys_->config().root_filters_speculative) {
-        const LockState& ls = lock_state(info.guard);
-        if (ls.holder != origin) {
-          // §4: "If the local CPU does not have the lock when the new
-          // values reach the root, it will discard them."
-          ++stats_.speculative_drops;
-          sim::log_debug("root g", gid_, " drops speculative write of ",
-                         info.name, "=", value, " from n", origin);
-          if (auto* rec = sys_->recorder()) {
-            trace::Event e;
-            e.t = sys_->scheduler().now();
-            e.kind = trace::EventKind::kRootDropSpec;
-            e.node = sys_->group(gid_).root();
-            e.group = gid_;
-            e.var = v;
-            e.value = value;
-            e.origin = origin;
-            e.label = var_kind_name(info.kind);
-            rec->record(e);
-          }
-          return;
+      if (sys_->config().root_filters_speculative &&
+          !core_.admits(info.guard, origin)) {
+        // §4: "If the local CPU does not have the lock when the new values
+        // reach the root, it will discard them."
+        ++stats_.speculative_drops;
+        sim::log_debug("root g", gid_, " drops speculative write of ",
+                       info.name, "=", value, " from n", origin);
+        if (auto* rec = sys_->recorder()) {
+          record(*rec, trace::EventKind::kRootDropSpec, v, 0, value, origin,
+                 var_kind_name(info.kind));
         }
+        return;
       }
       multicast(v, value, origin);
       return;
@@ -103,75 +80,41 @@ void GroupRoot::on_arrival(NodeId origin, VarId v, Word value,
 
 void GroupRoot::handle_lock_write(NodeId origin, VarId v, Word value,
                                   telemetry::SpanContext ctx) {
-  LockEntry& entry = lock_entry(v);
-  LockState& ls = entry.state;
-
-  if (value == kLockFree) {
-    // Release. The paper assumes correct bracketing; enforce it.
-    OPTSYNC_EXPECT(ls.holder == origin);
-    ++ls.releases;
-    if (!ls.queue.empty()) {
-      // "The root checks whether any nodes are queued awaiting exclusive
-      // access. If so, the next queued number is written as the new lock
-      // value" — the grant is appended right after the releaser's data.
-      ls.holder = ls.queue.take_front();
-      ++ls.queued_grants;
-      telemetry::SpanContext grant_ctx{};
-      if (!entry.meta.empty()) {
-        const WaiterMeta waiter = entry.meta.take_front();
-        grant_ctx = waiter.ctx;
-        if (auto* trc = sys_->tracer(); trc != nullptr && grant_ctx.valid()) {
-          // The queue-wait leg of the waiter's trace ends here: the grant
-          // is being sequenced into the releaser's frame right now.
-          trc->record_span(grant_ctx.trace, grant_ctx.span,
-                           telemetry::SpanKind::kRootQueue,
-                           sys_->group(gid_).root(), waiter.enqueued_at,
-                           sys_->scheduler().now());
-        }
+  const RootCore::Decision d = core_.on_lock_word(v, origin, value);
+  if (d.slot >= waiter_meta_.size()) waiter_meta_.resize(d.slot + 1);
+  util::Ring<WaiterMeta>& meta = waiter_meta_[d.slot];
+  switch (d.verdict) {
+    case RootCore::Verdict::kQueued:
+      meta.push_back(WaiterMeta{ctx, sys_->scheduler().now()});
+      return;
+    case RootCore::Verdict::kHandoff: {
+      // The grant is appended right after the releaser's data (§2).
+      const WaiterMeta waiter = meta.take_front();
+      ctx = waiter.ctx;
+      if (auto* trc = sys_->tracer(); trc != nullptr && ctx.valid()) {
+        // The queue-wait leg of the waiter's trace ends here: the grant
+        // is being sequenced into the releaser's frame right now.
+        trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kRootQueue,
+                         sys_->group(gid_).root(), waiter.enqueued_at,
+                         sys_->scheduler().now());
       }
-      multicast(v, lock_grant_value(ls.holder), sys_->group(gid_).root(),
-                grant_ctx);
-    } else {
-      ls.holder = kNoNode;
-      multicast(v, kLockFree, sys_->group(gid_).root(), ctx);
+      break;
     }
-    return;
+    case RootCore::Verdict::kGrant:
+    case RootCore::Verdict::kFree:
+      break;
   }
-
-  OPTSYNC_EXPECT(value < 0);  // a request: -(id + 1)
-  const NodeId requester = static_cast<NodeId>(-value - 1);
-  OPTSYNC_EXPECT(requester == origin);
-  OPTSYNC_EXPECT(ls.holder != requester);  // no nested acquisition (Fig. 4)
-  ++ls.requests;
-  if (ls.holder == kNoNode) {
-    ls.holder = requester;
-    ++ls.immediate_grants;
-    multicast(v, lock_grant_value(requester), sys_->group(gid_).root(), ctx);
-  } else {
-    // Busy: queue the processor id; requests are consumed by the root and
-    // never propagate to other members.
-    ls.queue.push_back(requester);
-    ls.max_queue_depth = std::max(ls.max_queue_depth, ls.queue.size());
-    entry.meta.push_back(WaiterMeta{ctx, sys_->scheduler().now()});
-  }
+  multicast(v, d.word(), sys_->group(gid_).root(), ctx);
 }
 
 void GroupRoot::multicast(VarId v, Word value, NodeId origin,
                           telemetry::SpanContext ctx) {
   const std::uint64_t seq = next_seq_++;
   ++stats_.sequenced;
+  const VarKind kind = sys_->var(v).kind;
   if (auto* rec = sys_->recorder()) {
-    trace::Event e;
-    e.t = sys_->scheduler().now();
-    e.kind = trace::EventKind::kRootSequence;
-    e.node = sys_->group(gid_).root();
-    e.group = gid_;
-    e.var = v;
-    e.seq = seq;
-    e.value = value;
-    e.origin = origin;
-    e.label = var_kind_name(sys_->var(v).kind);
-    rec->record(e);
+    record(*rec, trace::EventKind::kRootSequence, v, seq, value, origin,
+           var_kind_name(kind));
   }
 
   // Coalescing: append into the open frame; ship when the size cap fills it
@@ -190,8 +133,7 @@ void GroupRoot::multicast(VarId v, Word value, NodeId origin,
   // for 63 more writes to arrive). Ship the frame the moment a lock word
   // lands: the grant still rides with the data writes sequenced before it
   // (§2), and only pure data traffic coalesces to full depth.
-  if (pending_.writes.size() >= coalesce_writes_ ||
-      sys_->var(v).kind == VarKind::kLock) {
+  if (pending_.writes.size() >= coalesce_writes_ || kind == VarKind::kLock) {
     flush_pending(/*timer_fired=*/false);
     return;
   }
@@ -213,7 +155,6 @@ void GroupRoot::begin_quiesce() {
   // write.
   flush_pending(/*timer_fired=*/false);
   quiesced_ = true;
-  ++mig_stats_.quiesces;
 }
 
 void GroupRoot::end_quiesce() {
@@ -225,16 +166,7 @@ void GroupRoot::end_quiesce() {
   // log (quiesced_ is false), but keep the loop robust anyway.
   std::vector<HeldArrival> log;
   log.swap(handoff_log_);
-  for (const HeldArrival& h : log) {
-    ++mig_stats_.handoff_replayed;
-    on_arrival(h.origin, h.var, h.value, h.ctx);
-  }
-}
-
-std::size_t GroupRoot::waiter_queue_depth() const {
-  std::size_t depth = 0;
-  for (const LockEntry& e : locks_) depth += e.state.queue.size();
-  return depth;
+  for (const HeldArrival& h : log) on_arrival(h.origin, h.var, h.value, h.ctx);
 }
 
 void GroupRoot::flush_pending(bool timer_fired) {
@@ -252,15 +184,9 @@ void GroupRoot::flush_pending(bool timer_fired) {
   stats_.max_frame_writes =
       std::max(stats_.max_frame_writes, pending_.writes.size());
   if (auto* rec = sys_->recorder()) {
-    trace::Event e;
-    e.t = sys_->scheduler().now();
-    e.kind = trace::EventKind::kFrameFlush;
-    e.node = sys_->group(gid_).root();
-    e.group = gid_;
-    e.seq = pending_.first_seq();
-    e.value = static_cast<std::int64_t>(pending_.writes.size());
-    e.label = timer_fired ? "timer" : "size";
-    rec->record(e);
+    record(*rec, trace::EventKind::kFrameFlush, 0, pending_.first_seq(),
+           static_cast<Word>(pending_.writes.size()), kNoNode,
+           timer_fired ? "timer" : "size");
   }
   if (auto* trc = sys_->tracer()) {
     // Close the coalesce leg of every traced write that sat in the open

@@ -13,8 +13,10 @@
 #include <functional>
 
 #include "dsm/frame.hpp"
+#include "dsm/root_core.hpp"
 #include "dsm/types.hpp"
 #include "simkern/scheduler.hpp"
+#include "trace/recorder.hpp"
 #include "util/ring.hpp"
 
 namespace optsync::dsm {
@@ -34,19 +36,10 @@ class GroupRoot {
   void on_arrival(NodeId origin, VarId v, Word value,
                   telemetry::SpanContext ctx = {});
 
-  /// Queue-lock state for one lock variable. The waiter queue is a flat
-  /// ring buffer (deque surface, no per-node allocation): one push/pop per
-  /// contended request sits on the sequencing hot path.
-  struct LockState {
-    NodeId holder = kNoNode;
-    util::Ring<NodeId> queue;
-    std::uint64_t requests = 0;
-    std::uint64_t immediate_grants = 0;  ///< granted without queueing
-    std::uint64_t queued_grants = 0;     ///< granted from the queue
-    std::uint64_t releases = 0;
-    std::size_t max_queue_depth = 0;
-  };
-  [[nodiscard]] const LockState& lock_state(VarId lock) const;
+  /// Lock decisions are taken by the shared core (dsm/root_core.hpp).
+  [[nodiscard]] const RootCore::LockState& lock_state(VarId lock) const {
+    return core_.lock_state(lock);
+  }
 
   struct Stats {
     std::uint64_t sequenced = 0;
@@ -78,7 +71,6 @@ class GroupRoot {
   [[nodiscard]] std::uint32_t coalesce_max_writes() const {
     return coalesce_writes_;
   }
-  [[nodiscard]] sim::Duration coalesce_max_ns() const { return coalesce_ns_; }
 
   // --- frame observation -------------------------------------------------
   /// Hook invoked on every frame flush, after the flush is sequenced but
@@ -108,23 +100,14 @@ class GroupRoot {
   /// no reordering. GWC order is one uninterrupted stream across the cut.
   void end_quiesce();
 
-  [[nodiscard]] bool quiesced() const { return quiesced_; }
   [[nodiscard]] std::size_t handoff_log_size() const {
     return handoff_log_.size();
   }
 
   /// Total queued waiters across all lock variables — the waiter-queue
   /// portion of the state a migration must transfer to the successor.
-  [[nodiscard]] std::size_t waiter_queue_depth() const;
-
-  struct MigrationStats {
-    std::uint64_t quiesces = 0;
-    std::uint64_t handoff_logged = 0;    ///< writes parked during quiesce
-    std::uint64_t handoff_replayed = 0;  ///< writes replayed at end_quiesce
-    std::size_t max_handoff_log = 0;
-  };
-  [[nodiscard]] const MigrationStats& migration_stats() const {
-    return mig_stats_;
+  [[nodiscard]] std::size_t waiter_queue_depth() const {
+    return core_.waiter_queue_depth();
   }
 
  private:
@@ -134,23 +117,17 @@ class GroupRoot {
                  telemetry::SpanContext ctx = {});
   void flush_pending(bool timer_fired);
 
-  /// Trace metadata for queued lock waiters, kept in lockstep with
-  /// LockState::queue (only handle_lock_write pushes/pops either). A
-  /// side ring so the public LockState stays a plain NodeId queue.
+  void record(trace::Recorder& rec, trace::EventKind kind, VarId v,
+              std::uint64_t seq, Word value, NodeId origin,
+              std::string_view label) const;
+
+  /// Trace metadata for queued lock waiters, kept in lockstep with the
+  /// core's waiter queue of the same lock slot (only handle_lock_write
+  /// pushes/pops either). A side table so the core stays trace-free.
   struct WaiterMeta {
     telemetry::SpanContext ctx{};
     sim::Time enqueued_at = 0;
   };
-
-  /// One lock variable's full root-side state. The table is a flat vector
-  /// scanned linearly: groups hold a handful of locks (the sharded service
-  /// exactly one), and the scan beats hashing at that size.
-  struct LockEntry {
-    VarId var = kNoVar;
-    LockState state;
-    util::Ring<WaiterMeta> meta;
-  };
-  LockEntry& lock_entry(VarId v);
 
   /// One write parked while the root is quiesced for migration.
   struct HeldArrival {
@@ -163,7 +140,8 @@ class GroupRoot {
   DsmSystem* sys_;
   GroupId gid_;
   std::uint64_t next_seq_ = 1;
-  std::vector<LockEntry> locks_;
+  RootCore core_;
+  std::vector<util::Ring<WaiterMeta>> waiter_meta_;  ///< by lock slot
   Frame pending_;                 ///< open frame awaiting flush
   FrameObserver observer_;        ///< flush tap (lease directory)
   sim::EventId flush_timer_ = 0;  ///< 0 = not armed
@@ -171,7 +149,6 @@ class GroupRoot {
   sim::Duration coalesce_ns_;
   bool quiesced_ = false;
   std::vector<HeldArrival> handoff_log_;
-  MigrationStats mig_stats_;
   Stats stats_;
 };
 

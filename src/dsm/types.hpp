@@ -89,6 +89,13 @@ constexpr bool lock_held(Word v) { return v > 0; }
 /// Extracts the holder from a grant word. Precondition: lock_held(v).
 constexpr NodeId lock_holder(Word v) { return static_cast<NodeId>(v - 1); }
 
+/// Hardware blocking (Fig. 6): a member drops the root's echo of its own
+/// mutex-data write, so a late echo can never overwrite values restored by
+/// a rollback. Lock variables and plain data are never dropped.
+constexpr bool echo_blocked(VarKind kind, NodeId origin, NodeId self) {
+  return kind == VarKind::kMutexData && origin == self;
+}
+
 /// Tuning knobs for the simulated Sesame substrate.
 struct DsmConfig {
   net::LinkModel link = net::LinkModel::paper();
@@ -108,10 +115,6 @@ struct DsmConfig {
   /// Root drops writes to mutex data from nodes not holding the guard lock
   /// (the enabling mechanism for optimistic synchronization, §4).
   bool root_filters_speculative = true;
-
-  /// Sharing interfaces drop root echoes of their own mutex-data writes
-  /// (the hardware blocking mechanism, Fig. 6).
-  bool hardware_blocking = true;
 
   /// Adds a uniformly random [0, jitter) delay to each root sequencing step
   /// (congestion/fault injection for robustness tests). The whole multicast

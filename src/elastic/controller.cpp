@@ -66,17 +66,6 @@ void ElasticController::register_telemetry(telemetry::Sampler& sampler) {
   });
 }
 
-double ElasticController::backlog(ShardId s) const {
-  if (s >= live_->shards.size()) return 0.0;
-  std::uint64_t issued = 0;
-  std::uint64_t completed = 0;
-  for (const auto& o : live_->shards[s].ops) {
-    issued += o.issued;
-    completed += o.completed;
-  }
-  return static_cast<double>(issued) - static_cast<double>(completed);
-}
-
 ShardId ElasticController::pick_hot_group() const {
   const ShardId base = store_->base_shards();
   const ShardId total = store_->shards();
@@ -101,7 +90,7 @@ ShardId ElasticController::pick_split_target(ShardId s) const {
   double best_b = std::numeric_limits<double>::infinity();
   for (ShardId d = 0; d < base; ++d) {
     if (d == s || streak_[d] != 0) continue;
-    const double b = backlog(d);
+    const double b = live_->backlog(d);
     if (b < best_b) {
       best_b = b;
       best = d;
@@ -172,7 +161,7 @@ void ElasticController::journal_step(const char* step, ShardId s,
     }
   }
   j->elastic_decision(store_->system().scheduler().now(), step, s, target,
-                      v.slope_per_s, v.peak_backlog, backlog(s), top_key,
+                      v.slope_per_s, v.peak_backlog, live_->backlog(s), top_key,
                       top_share, streak, cooldown_);
 }
 
@@ -254,10 +243,10 @@ void ElasticController::maybe_relax() {
   // Merge donations back once BOTH ends are demonstrably cold.
   for (const auto& d : dir_.donations()) {
     const bool src_cold =
-        streak_[d.src] == 0 && backlog(d.src) <= cfg_.merge_backlog_max;
+        streak_[d.src] == 0 && live_->backlog(d.src) <= cfg_.merge_backlog_max;
     const bool dst_cold =
         (d.dst >= streak_.size() || streak_[d.dst] == 0) &&
-        backlog(d.dst) <= cfg_.merge_backlog_max;
+        live_->backlog(d.dst) <= cfg_.merge_backlog_max;
     if (src_cold && dst_cold) {
       const ShardId src = d.src;
       journal_step("merge", src, d.dst, streak_[src]);
@@ -284,7 +273,7 @@ void ElasticController::tick() {
     // whose hotspot moved away. A shard whose queue is no longer material
     // is not drowning NOW, whatever its history says.
     const bool drowning =
-        telemetry::live_drowning(verdict_[s], backlog(s), cfg_.overload);
+        telemetry::live_drowning(verdict_[s], live_->backlog(s), cfg_.overload);
     streak_[s] = drowning ? streak_[s] + 1 : 0;
   }
   if (cooldown_ > 0) {
@@ -298,7 +287,7 @@ void ElasticController::tick() {
     double worst_backlog = -1.0;
     for (ShardId s = 0; s < base; ++s) {
       if (streak_[s] < cfg_.drowning_ticks) continue;
-      const double b = backlog(s);
+      const double b = live_->backlog(s);
       if (b > worst_backlog) {
         worst = s;
         worst_backlog = b;

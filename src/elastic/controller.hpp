@@ -131,7 +131,6 @@ class ElasticController {
   /// hotspot shift exercises for every displaced pin).
   sim::Process swap_pin(shard::Key victim, shard::Key cand);
   void launch(std::function<sim::Process()> thunk);
-  [[nodiscard]] double backlog(shard::ShardId s) const;
   /// Least-pinned hot group with capacity, or shards() when none.
   [[nodiscard]] shard::ShardId pick_hot_group() const;
   /// Coldest non-drowning base shard != s, or base_shards() when none.

@@ -34,15 +34,6 @@ class Channel {
     return item;
   }
 
-  /// Non-blocking variant; nullopt means empty (not necessarily closed).
-  std::optional<T> try_pop() {
-    std::lock_guard lk(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
   void close() {
     {
       std::lock_guard lk(mu_);
@@ -51,18 +42,8 @@ class Channel {
     cv_.notify_all();
   }
 
-  [[nodiscard]] bool closed() const {
-    std::lock_guard lk(mu_);
-    return closed_;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard lk(mu_);
-    return items_.size();
-  }
-
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<T> items_;
   bool closed_ = false;

@@ -1,6 +1,7 @@
 #include "rt/rt_group.hpp"
 
 #include <chrono>
+#include <utility>
 
 #include "simkern/assert.hpp"
 
@@ -36,40 +37,30 @@ RtSystem::~RtSystem() {
   }
 }
 
-VarId RtSystem::define_data(std::string name) {
+VarId RtSystem::add_var(dsm::VarInfo info, Word initial) {
   const auto v = static_cast<VarId>(vars_.size());
-  vars_.push_back(dsm::VarInfo{std::move(name), 0, VarKind::kData,
-                               dsm::kNoVar, 0});
+  vars_.push_back(std::move(info));
   for (auto& node : nodes_) {
     std::lock_guard lk(node->mem_mu);
-    node->memory.resize(vars_.size(), 0);
+    node->memory.push_back(initial);
+    node->interrupts.emplace_back();
   }
   return v;
 }
 
+VarId RtSystem::define_data(std::string name) {
+  return add_var({std::move(name), 0, VarKind::kData, dsm::kNoVar, 0}, 0);
+}
+
 VarId RtSystem::define_lock(std::string name) {
-  const auto v = static_cast<VarId>(vars_.size());
-  vars_.push_back(dsm::VarInfo{std::move(name), 0, VarKind::kLock,
-                               dsm::kNoVar, 0});
-  for (auto& node : nodes_) {
-    std::lock_guard lk(node->mem_mu);
-    node->memory.resize(vars_.size(), 0);
-    node->memory[v] = kLockFree;
-  }
-  return v;
+  return add_var({std::move(name), 0, VarKind::kLock, dsm::kNoVar, 0},
+                 kLockFree);
 }
 
 VarId RtSystem::define_mutex_data(std::string name, VarId lock) {
   OPTSYNC_EXPECT(lock < vars_.size());
   OPTSYNC_EXPECT(vars_[lock].kind == VarKind::kLock);
-  const auto v = static_cast<VarId>(vars_.size());
-  vars_.push_back(dsm::VarInfo{std::move(name), 0, VarKind::kMutexData,
-                               lock, 0});
-  for (auto& node : nodes_) {
-    std::lock_guard lk(node->mem_mu);
-    node->memory.resize(vars_.size(), 0);
-  }
-  return v;
+  return add_var({std::move(name), 0, VarKind::kMutexData, lock, 0}, 0);
 }
 
 Word RtSystem::read(NodeId n, VarId v) const {
@@ -78,41 +69,23 @@ Word RtSystem::read(NodeId n, VarId v) const {
   return nodes_[n]->memory[v];
 }
 
-void RtSystem::write(NodeId n, VarId v, Word value) {
-  OPTSYNC_EXPECT(n < nodes_.size() && v < vars_.size());
-  auto& node = *nodes_[n];
-  {
-    std::lock_guard lk(node.mem_mu);
-    node.memory[v] = value;
-  }
-  node.mem_cv.notify_all();
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
-  to_root_.push(OutMsg{n, v, value});
-}
-
 Word RtSystem::atomic_exchange(NodeId n, VarId v, Word value) {
-  OPTSYNC_EXPECT(n < nodes_.size() && v < vars_.size());
-  auto& node = *nodes_[n];
-  Word old;
-  {
-    std::lock_guard lk(node.mem_mu);
-    old = node.memory[v];
-    node.memory[v] = value;
-  }
-  node.mem_cv.notify_all();
+  const Word old = poke(n, v, value);
   inflight_.fetch_add(1, std::memory_order_acq_rel);
   to_root_.push(OutMsg{n, v, value});
   return old;
 }
 
-void RtSystem::poke(NodeId n, VarId v, Word value) {
+Word RtSystem::poke(NodeId n, VarId v, Word value) {
   OPTSYNC_EXPECT(n < nodes_.size() && v < vars_.size());
   auto& node = *nodes_[n];
+  Word old;
   {
     std::lock_guard lk(node.mem_mu);
-    node.memory[v] = value;
+    old = std::exchange(node.memory[v], value);
   }
   node.mem_cv.notify_all();
+  return old;
 }
 
 void RtSystem::wait_until(NodeId n, VarId v,
@@ -139,16 +112,17 @@ void RtSystem::resume_insharing(NodeId n) {
 }
 
 void RtSystem::arm_interrupt(NodeId n, VarId v, InterruptHandler h) {
-  OPTSYNC_EXPECT(h != nullptr);
+  OPTSYNC_EXPECT(h != nullptr && n < nodes_.size() && v < vars_.size());
   auto& node = *nodes_[n];
   std::lock_guard lk(node.mem_mu);
   node.interrupts[v] = std::move(h);
 }
 
 void RtSystem::disarm_interrupt(NodeId n, VarId v) {
+  OPTSYNC_EXPECT(n < nodes_.size() && v < vars_.size());
   auto& node = *nodes_[n];
   std::lock_guard lk(node.mem_mu);
-  node.interrupts.erase(v);
+  node.interrupts[v] = nullptr;
 }
 
 void RtSystem::sequencer_main() {
@@ -156,48 +130,37 @@ void RtSystem::sequencer_main() {
     if (cfg_.link_delay_us > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(cfg_.link_delay_us));
     }
-    const auto& m = *msg;
-    const dsm::VarInfo& info = vars_[m.var];
-    switch (info.kind) {
-      case VarKind::kLock: {
-        LockState& ls = locks_[m.var];
-        if (m.value == kLockFree) {
-          OPTSYNC_ENSURE(ls.holder == m.origin);
-          if (!ls.queue.empty()) {
-            ls.holder = ls.queue.front();
-            ls.queue.pop_front();
-            multicast(m.var, dsm::lock_grant_value(ls.holder), m.origin);
-          } else {
-            ls.holder = dsm::kNoNode;
-            multicast(m.var, kLockFree, m.origin);
-          }
-        } else {
-          OPTSYNC_ENSURE(m.value < 0);
-          const auto requester = static_cast<NodeId>(-m.value - 1);
-          OPTSYNC_ENSURE(requester == m.origin);
-          if (ls.holder == dsm::kNoNode) {
-            ls.holder = requester;
-            multicast(m.var, dsm::lock_grant_value(requester), m.origin);
-          } else {
-            ls.queue.push_back(requester);
-          }
-        }
-        break;
-      }
-      case VarKind::kMutexData: {
-        const LockState& ls = locks_[info.guard];
-        if (cfg_.filter_speculative && ls.holder != m.origin) {
-          stats_.speculative_drops.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-        multicast(m.var, m.value, m.origin);
-        break;
-      }
-      case VarKind::kData:
-        multicast(m.var, m.value, m.origin);
-        break;
+    try {
+      sequence(*msg);
+    } catch (const ContractViolation&) {
+      // The write is rejected; the sequencer keeps serving the others.
+      std::lock_guard lk(error_mu_);
+      if (!error_) error_ = std::current_exception();
     }
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
+  }
+}
+
+void RtSystem::sequence(const OutMsg& m) {
+  const dsm::VarInfo& info = vars_[m.var];
+  switch (info.kind) {
+    case VarKind::kLock: {
+      const dsm::RootCore::Decision d =
+          core_.on_lock_word(m.var, m.origin, m.value);
+      if (d.verdict != dsm::RootCore::Verdict::kQueued) {
+        multicast(m.var, d.word(), kSequencer);
+      }
+      return;
+    }
+    case VarKind::kMutexData:
+      if (!core_.admits(info.guard, m.origin)) {
+        stats_.speculative_drops.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      [[fallthrough]];
+    case VarKind::kData:
+      multicast(m.var, m.value, m.origin);
+      return;
   }
 }
 
@@ -231,22 +194,18 @@ void RtSystem::apply_update(Node& node, NodeId id, const Update& u) {
   InterruptHandler handler;
   {
     std::lock_guard lk(node.mem_mu);
-    // Hardware blocking (Fig. 6).
-    if (cfg_.hardware_blocking && u.origin == id &&
-        info.kind == VarKind::kMutexData) {
+    if (dsm::echo_blocked(info.kind, u.origin, id)) {
       stats_.echoes_dropped.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     node.memory[u.var] = u.value;
-    ++node.applied;
-    const auto it = node.interrupts.find(u.var);
-    if (it != node.interrupts.end()) {
+    if (node.interrupts[u.var]) {
       // Interrupt is atomically coupled with insharing suspension: set the
       // flag while still holding the memory lock, then run the handler
       // outside it (handlers call back into the runtime).
       node.suspended = true;
       stats_.interrupts.fetch_add(1, std::memory_order_relaxed);
-      handler = it->second;
+      handler = node.interrupts[u.var];
     }
   }
   // Run the handler before notifying memory waiters so a thread observing
@@ -266,6 +225,12 @@ void RtSystem::quiesce() {
     }
     std::this_thread::sleep_for(200us);
   }
+  std::exception_ptr err;
+  {
+    std::lock_guard lk(error_mu_);
+    std::swap(err, error_);
+  }
+  if (err) std::rethrow_exception(err);
 }
 
 }  // namespace optsync::rt

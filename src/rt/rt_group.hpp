@@ -4,12 +4,13 @@
 // proves the *protocol* story with actual threads racing each other:
 //   * every node has an applier thread that applies root-sequenced updates
 //     in order (GWC delivery);
-//   * one sequencer thread plays the group root: it orders all writes,
-//     manages lock queues, and filters speculative mutex-data writes from
-//     non-holders;
+//   * one sequencer thread plays the group root: it orders all writes and
+//     drives dsm::RootCore for the lock queues and the speculative-write
+//     filter, the same core dsm::GroupRoot drives;
 //   * insharing suspension pauses the applier; interrupts run on the
 //     applier thread exactly where the sharing hardware would raise them;
-//   * hardware blocking drops self-echoed mutex data at the applier.
+//   * hardware blocking (dsm::echo_blocked) drops self-echoed mutex data
+//     at the applier.
 //
 // User code (one thread per node, typically) talks to the runtime through
 // read/write/atomic_exchange/wait_until, mirroring the DsmNode API.
@@ -18,16 +19,15 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "dsm/types.hpp"
+#include "dsm/root_core.hpp"
 #include "rt/channel.hpp"
 
 namespace optsync::rt {
@@ -45,9 +45,12 @@ class RtSystem {
     /// Artificial per-message delay injected in the sequencer (widens race
     /// windows for the stress tests). 0 = full speed.
     std::uint32_t link_delay_us = 0;
-    bool hardware_blocking = true;
-    bool filter_speculative = true;
   };
+
+  /// Origin of the lock words the sequencer emits (grants and FREE): like
+  /// the simulator's group root, it sequences them as its own writes. It
+  /// is not one of the nodes.
+  static constexpr NodeId kSequencer = dsm::kNoNode;
 
   explicit RtSystem(Config cfg);
   ~RtSystem();
@@ -61,10 +64,10 @@ class RtSystem {
 
   // --- node-side operations (thread-safe) --------------------------------
   [[nodiscard]] Word read(NodeId n, VarId v) const;
-  void write(NodeId n, VarId v, Word value);
+  void write(NodeId n, VarId v, Word value) { atomic_exchange(n, v, value); }
   Word atomic_exchange(NodeId n, VarId v, Word value);
-  /// Restores a local value without sharing (rollback).
-  void poke(NodeId n, VarId v, Word value);
+  /// Restores a local value without sharing (rollback); returns the old one.
+  Word poke(NodeId n, VarId v, Word value);
 
   /// Blocks the calling thread until pred(local value of v) holds.
   void wait_until(NodeId n, VarId v, const std::function<bool(Word)>& pred);
@@ -79,9 +82,6 @@ class RtSystem {
   void arm_interrupt(NodeId n, VarId v, InterruptHandler h);
   void disarm_interrupt(NodeId n, VarId v);
 
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] const Config& config() const { return cfg_; }
-
   struct Stats {
     std::atomic<std::uint64_t> sequenced{0};
     std::atomic<std::uint64_t> speculative_drops{0};
@@ -92,7 +92,9 @@ class RtSystem {
 
   /// Blocks until every queue is drained and appliers are idle — the
   /// threaded analog of running the simulator dry. Call only when no user
-  /// thread is issuing writes.
+  /// thread is issuing writes. Rethrows the first ContractViolation the
+  /// sequencer rejected a write with since the last call (a release by a
+  /// non-holder, a nested request), as the simulator's run() would.
   void quiesce();
 
  private:
@@ -113,19 +115,15 @@ class RtSystem {
     std::vector<Word> memory;
     bool suspended = false;
     std::condition_variable suspend_cv;
-    std::unordered_map<VarId, InterruptHandler> interrupts;
+    std::vector<InterruptHandler> interrupts;  ///< by VarId; empty = disarmed
     Channel<Update> inbox;
     std::thread applier;
-    std::atomic<std::uint64_t> applied{0};
   };
-  struct LockState {
-    NodeId holder = dsm::kNoNode;
-    std::deque<NodeId> queue;
-  };
-
+  VarId add_var(dsm::VarInfo info, Word initial);
   void sequencer_main();
   void applier_main(NodeId n);
   void apply_update(Node& node, NodeId id, const Update& u);
+  void sequence(const OutMsg& m);
   void multicast(VarId v, Word value, NodeId origin);
 
   Config cfg_;
@@ -134,7 +132,9 @@ class RtSystem {
   Channel<OutMsg> to_root_;
   std::thread sequencer_;
   std::uint64_t next_seq_ = 1;  // sequencer thread only
-  std::unordered_map<VarId, LockState> locks_;  // sequencer thread only
+  dsm::RootCore core_;           // sequencer thread only
+  std::mutex error_mu_;
+  std::exception_ptr error_;  ///< first rejected write, for quiesce()
   std::atomic<std::int64_t> inflight_{0};  ///< undelivered messages
   Stats stats_;
   std::atomic<bool> shutting_down_{false};

@@ -4,18 +4,13 @@
 
 namespace optsync::rt {
 
-using dsm::lock_grant_value;
-using dsm::lock_held;
-using dsm::lock_holder;
-using dsm::lock_request_value;
-
 RtOptimisticMutex::RtOptimisticMutex(RtSystem& sys, VarId lock, Config cfg)
     : sys_(&sys), lock_(lock), cfg_(cfg) {}
 
 RtOptimisticMutex::NodeState& RtOptimisticMutex::state(NodeId n) {
   std::lock_guard lk(states_mu_);
   auto& slot = states_[n];
-  if (!slot) slot = std::make_unique<NodeState>(cfg_.history_decay);
+  if (!slot) slot = std::make_unique<NodeState>(n, cfg_.history_decay);
   return *slot;
 }
 
@@ -24,102 +19,76 @@ RtOptimisticMutex::Outcome RtOptimisticMutex::execute(NodeId n,
   OPTSYNC_EXPECT(sec.body != nullptr);
   auto& st = state(n);
   auto& sys = *sys_;
-  stats_.executions.fetch_add(1, std::memory_order_relaxed);
-
-  std::vector<Word> saved_values(sec.shared_writes.size());
-  Outcome outcome;
-
   {
     std::lock_guard lk(st.mu);
     if (st.in_section) {
       throw ContractViolation("cannot safely nest mutex lock requests");
     }
     st.in_section = true;
-    st.variables_saved = false;
-    st.pending_rollback = false;
-    st.granted = false;
+    st.req.begin();
   }
+  stats_.executions.fetch_add(1, std::memory_order_relaxed);
 
-  // Request the lock: atomically swap the local copy (Fig. 4 lines 03-04).
-  const Word old_val = sys.atomic_exchange(n, lock_, lock_request_value(n));
-  const bool was_busy = lock_held(old_val) && lock_holder(old_val) != n;
-
-  double history_now;
-  {
-    std::lock_guard lk(st.mu);
-    st.history.observe(was_busy ? 1.0 : 0.0);
-    history_now = st.history.value();
-  }
-
-  // Arm the interrupt. It runs on the applier thread with insharing already
-  // suspended; every branch except the rollback one resumes insharing.
+  // Arm before the request: the applier thread may apply a lock word at
+  // any instant, so every change from here on reaches the requester. The
+  // handler runs on the applier thread with insharing already suspended;
+  // every verdict except a rollback resumes insharing.
   sys.arm_interrupt(n, lock_, [this, n, &st](VarId, Word value, NodeId) {
-    auto& sys2 = *sys_;
-    bool resume = true;
+    bool resume;
     {
       std::lock_guard lk(st.mu);
-      if (dsm::lock_granted_to(value, n)) {
-        st.granted = true;
-      } else if (value == kLockFree) {
-        // momentary free; keep waiting
-      } else {
-        st.history.observe(1.0);
-        if (st.variables_saved) {
-          // Failed speculation: leave insharing suspended for the rollback,
-          // which the requesting thread performs.
-          st.pending_rollback = true;
-          resume = false;
-        }
-      }
+      resume = st.req.on_lock_change(value) !=
+               core::Requester::Verdict::kRollback;
     }
-    if (resume) sys2.resume_insharing(n);
+    if (resume) sys_->resume_insharing(n);
     st.cv.notify_all();
   });
 
-  // A grant may have been applied between the exchange and the arming (a
-  // window the simulated substrate does not have); fold the current local
-  // value into the decision and the granted flag.
-  const Word cur = sys.read(n, lock_);
+  // Request the lock: atomically swap the local copy (Fig. 4 lines 03-04).
+  const Word old_val =
+      sys.atomic_exchange(n, lock_, dsm::lock_request_value(n));
+  bool optimistic;
   {
     std::lock_guard lk(st.mu);
-    if (dsm::lock_granted_to(cur, n)) st.granted = true;
+    st.req.request(old_val);
+    optimistic =
+        st.req.choose(cfg_.enable_optimistic, cfg_.history_threshold)
+            .optimistic;
   }
 
-  const bool indicates_usage =
-      was_busy || old_val != kLockFree || (lock_held(cur) && !dsm::lock_granted_to(cur, n)) ||
-      history_now > cfg_.history_threshold;
-
-  if (!cfg_.enable_optimistic || indicates_usage) {
-    // ---- Regular path -------------------------------------------------
-    stats_.regular_paths.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::unique_lock lk(st.mu);
-      st.cv.wait(lk, [&] { return st.granted; });
-    }
-    sec.body(n);
-  } else {
-    // ---- Optimistic path ----------------------------------------------
+  Outcome outcome;
+  std::vector<Word> saved_values(sec.shared_writes.size());
+  if (optimistic) {
     stats_.optimistic_attempts.fetch_add(1, std::memory_order_relaxed);
     outcome.used_optimistic = true;
-
     for (std::size_t i = 0; i < sec.shared_writes.size(); ++i) {
       saved_values[i] = sys.read(n, sec.shared_writes[i]);
     }
     if (sec.save_locals) sec.save_locals();
-    {
-      std::lock_guard lk(st.mu);
-      st.variables_saved = true;
-    }
+    // Another node's grant may have been applied while the variables were
+    // being saved; the requester then refuses and the execution waits.
+    std::lock_guard lk(st.mu);
+    optimistic = st.req.start_speculation();
+  }
 
+  if (!optimistic) {
+    // ---- Regular path -------------------------------------------------
+    stats_.regular_paths.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::unique_lock lk(st.mu);
+      st.cv.wait(lk, [&] { return st.req.granted(); });
+    }
+    sec.body(n);
+  } else {
+    // ---- Optimistic path ----------------------------------------------
     sec.body(n);  // speculative: the sequencer filters our shared writes
                   // until the grant is ours
 
     bool rolled_back = false;
     for (;;) {
       std::unique_lock lk(st.mu);
-      if (st.pending_rollback) {
-        st.pending_rollback = false;
-        st.variables_saved = false;
+      if (st.req.rollback_pending()) {
+        st.req.finish_rollback();
         rolled_back = true;
         lk.unlock();
         // Rollback on this thread (the paper's lines 22-26): restore local
@@ -131,8 +100,10 @@ RtOptimisticMutex::Outcome RtOptimisticMutex::execute(NodeId n,
         sys.resume_insharing(n);
         continue;
       }
-      if (st.granted) break;
-      st.cv.wait(lk, [&] { return st.granted || st.pending_rollback; });
+      if (st.req.granted()) break;
+      st.cv.wait(lk, [&] {
+        return st.req.granted() || st.req.rollback_pending();
+      });
     }
 
     if (rolled_back) {
@@ -142,7 +113,7 @@ RtOptimisticMutex::Outcome RtOptimisticMutex::execute(NodeId n,
     } else {
       stats_.optimistic_successes.fetch_add(1, std::memory_order_relaxed);
       std::lock_guard lk(st.mu);
-      st.variables_saved = false;
+      st.req.commit();
     }
   }
 

@@ -1,10 +1,11 @@
 // Optimistic mutual exclusion on the threaded runtime.
 //
-// The same Fig. 4/5 state machine as core::OptimisticMutex, but with the
-// interrupt handler genuinely racing the requesting thread: the handler runs
-// on the node's applier thread (where the sharing hardware would raise it),
-// while the section body runs on the caller's thread. Synchronization
-// between the two is the per-node state mutex + condition variable.
+// Drives the same Fig. 4/5 state machine as core::OptimisticMutex
+// (core::Requester), but with the interrupt handler genuinely racing the
+// requesting thread: the handler runs on the node's applier thread (where
+// the sharing hardware would raise it), while the section body runs on the
+// caller's thread. Synchronization between the two is the per-node state
+// mutex + condition variable.
 #pragma once
 
 #include <condition_variable>
@@ -15,7 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/usage_history.hpp"
+#include "core/requester.hpp"
 #include "rt/rt_group.hpp"
 #include "sync/lock.hpp"
 
@@ -82,14 +83,11 @@ class RtOptimisticMutex {
   };
 
   struct NodeState {
-    explicit NodeState(double decay) : history(decay) {}
+    NodeState(NodeId n, double decay) : req(n, decay) {}
     std::mutex mu;
     std::condition_variable cv;
-    core::UsageHistory history;  // guarded by mu
+    core::Requester req;  // guarded by mu
     bool in_section = false;
-    bool variables_saved = false;
-    bool pending_rollback = false;
-    bool granted = false;
   };
 
   NodeState& state(NodeId n);

@@ -46,17 +46,6 @@ void CoalesceController::register_telemetry(telemetry::Sampler& sampler) {
   }
 }
 
-double CoalesceController::backlog(ShardId s) const {
-  if (s >= live_->shards.size()) return 0.0;
-  std::uint64_t issued = 0;
-  std::uint64_t completed = 0;
-  for (const auto& o : live_->shards[s].ops) {
-    issued += o.issued;
-    completed += o.completed;
-  }
-  return static_cast<double>(issued) - static_cast<double>(completed);
-}
-
 void CoalesceController::apply_cap(ShardId s, std::uint32_t cap) {
   ShardCtl& c = ctl_[s];
   if (cap == c.cap) return;
@@ -87,7 +76,7 @@ void CoalesceController::tick() {
     c.last_frames = root_stats.frames;
     c.last_timer_flushes = root_stats.timer_flushes;
 
-    const double b = backlog(s);
+    const double b = live_->backlog(s);
     std::uint32_t next = c.cap;
     if (b >= cfg_.backlog_high) {
       // Root-bound: writes are queueing faster than they complete, so

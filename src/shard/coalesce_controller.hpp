@@ -116,7 +116,6 @@ class CoalesceController {
   };
 
   void tick();
-  [[nodiscard]] double backlog(ShardId s) const;
   void apply_cap(ShardId s, std::uint32_t cap);
 
   ShardedStore* store_;

@@ -875,16 +875,8 @@ void ShardedStore::register_telemetry(telemetry::Sampler& sampler,
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     Shard* sh = shards_[s].get();
     const telemetry::Labels labels{{"shard", std::to_string(s)}};
-    sampler.add_gauge("optsync_shard_backlog", labels, [&live, s] {
-      if (s >= live.shards.size()) return 0.0;
-      std::uint64_t issued = 0;
-      std::uint64_t completed = 0;
-      for (const auto& o : live.shards[s].ops) {
-        issued += o.issued;
-        completed += o.completed;
-      }
-      return static_cast<double>(issued) - static_cast<double>(completed);
-    });
+    sampler.add_gauge("optsync_shard_backlog", labels,
+                      [&live, s] { return live.backlog(s); });
     sampler.add_gauge("optsync_lock_queue", labels, [this, sh] {
       return static_cast<double>(
           sys_->root_of(sh->group).lock_state(sh->lock).queue.size());

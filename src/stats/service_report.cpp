@@ -20,6 +20,17 @@ std::uint64_t ServiceReport::completed() const {
   return n;
 }
 
+double ServiceReport::backlog(std::size_t shard) const {
+  if (shard >= shards.size()) return 0.0;
+  std::uint64_t issued = 0;
+  std::uint64_t completed = 0;
+  for (const auto& o : shards[shard].ops) {
+    issued += o.issued;
+    completed += o.completed;
+  }
+  return static_cast<double>(issued) - static_cast<double>(completed);
+}
+
 double ServiceReport::safe_rate(double count, sim::Time window_ns) {
   if (window_ns == 0) return 0.0;
   return count / sim::to_seconds(window_ns);

@@ -186,6 +186,10 @@ struct ServiceReport {
   /// One shard's completed requests per second over the run window.
   [[nodiscard]] double shard_goodput_rps(std::size_t shard) const;
 
+  /// One shard's requests issued but not yet completed (0 for a shard out
+  /// of range).
+  [[nodiscard]] double backlog(std::size_t shard) const;
+
   /// Shards flagged `drowning` by the overload detector.
   [[nodiscard]] std::uint32_t drowning_shards() const;
 

@@ -180,11 +180,12 @@ TEST(Coro, DroppingTheHandleDoesNotCancel) {
   // handle is only an observer.
   Scheduler s;
   bool finished = false;
+  // The closure outlives the block: the coroutine reads its captures.
+  auto run = [&](Scheduler& sched) -> Process {
+    co_await delay(sched, 50);
+    finished = true;
+  };
   {
-    auto run = [&](Scheduler& sched) -> Process {
-      co_await delay(sched, 50);
-      finished = true;
-    };
     auto p = run(s);
     // p goes out of scope here, before the coroutine resumes.
   }

@@ -227,5 +227,54 @@ TEST(RtOptimisticMutex, LocalSaveRestoreHooksRunOnRollback) {
             static_cast<int>(mux.stats_view().optimistic_attempts));
 }
 
+TEST(RtOptimisticMutex, ForeignGrantBeforeSpeculationStartsIsRefused) {
+  // The threaded runtime's window, made deterministic: node 0's local lock
+  // copy reads FREE at its request (its applier is held back while node 1
+  // takes the lock), so it chooses to speculate; node 1's grant is applied
+  // while node 0 saves its variables. Speculation must then not start: the
+  // root would drop every write and no rollback would be signalled. The
+  // execution waits for the hand-off and runs the body once, for real.
+  RtSystem sys(cfg(2));
+  const auto l = sys.define_lock("l");
+  const auto a = sys.define_mutex_data("a", l);
+  RtOptimisticMutex mux(sys, l, RtOptimisticMutex::Config{});
+
+  sys.suspend_insharing(0);
+  sys.write(1, l, dsm::lock_request_value(1));
+  sys.wait_until(1, l, [](Word v) { return dsm::lock_granted_to(v, 1); });
+
+  int saves = 0, restores = 0, bodies = 0;
+  RtOptimisticMutex::Section sec;
+  sec.shared_writes.push_back(a);
+  sec.save_locals = [&] {
+    ++saves;
+    sys.resume_insharing(0);  // node 1's grant reaches node 0 now...
+    sys.quiesce();            // ...and its interrupt has run
+    sys.write(1, l, kLockFree);  // hand the lock to node 0
+  };
+  sec.restore_locals = [&] { ++restores; };
+  sec.body = [&](NodeId me) {
+    ++bodies;
+    sys.write(me, a, sys.read(me, a) + 1);
+  };
+  const auto outcome = mux.execute(0, sec);
+  sys.quiesce();
+
+  EXPECT_TRUE(outcome.used_optimistic);
+  EXPECT_FALSE(outcome.rolled_back);
+  EXPECT_EQ(bodies, 1);
+  EXPECT_EQ(sys.read(0, a), 1);
+  EXPECT_EQ(sys.read(1, a), 1);
+  EXPECT_EQ(sys.stats().speculative_drops.load(), 0u);
+  const auto ms = mux.stats_view();
+  EXPECT_EQ(ms.executions, 1u);
+  EXPECT_EQ(ms.optimistic_attempts, 1u);
+  EXPECT_EQ(ms.regular_paths, 1u);
+  EXPECT_EQ(ms.optimistic_successes + ms.rollbacks + ms.regular_paths,
+            ms.executions);
+  EXPECT_EQ(saves, static_cast<int>(ms.optimistic_attempts));
+  EXPECT_EQ(restores, static_cast<int>(ms.rollbacks));
+}
+
 }  // namespace
 }  // namespace optsync::rt

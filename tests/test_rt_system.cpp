@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <thread>
 #include <vector>
+
+#include "simkern/assert.hpp"
 
 namespace optsync::rt {
 namespace {
@@ -50,6 +53,48 @@ TEST(RtSystem, QueuedRequesterGetsGrantAfterRelease) {
   sys.wait_until(2, l, [](Word v) { return dsm::lock_granted_to(v, 2); });
   sys.write(2, l, kLockFree);
   sys.quiesce();
+}
+
+TEST(RtSystem, RejectedLockWordsReachTheCallerNotTheSequencer) {
+  // The sequencer decides with the same core as the simulated root, so a
+  // holder's nested request and a release by a non-holder are contract
+  // violations here too. They come back from quiesce() (the simulator's
+  // run() throws them); the sequencer thread survives and keeps serving.
+  RtSystem sys(small(3));
+  const auto l = sys.define_lock("l");
+  sys.write(1, l, dsm::lock_request_value(1));
+  sys.wait_until(1, l, [](Word v) { return dsm::lock_granted_to(v, 1); });
+  sys.write(1, l, dsm::lock_request_value(1));  // nested
+  EXPECT_THROW(sys.quiesce(), ContractViolation);
+  sys.write(2, l, kLockFree);  // not the holder
+  EXPECT_THROW(sys.quiesce(), ContractViolation);
+  sys.quiesce();  // the error was reported once
+  sys.write(1, l, kLockFree);
+  sys.quiesce();
+  for (NodeId n = 0; n < 3; ++n) EXPECT_EQ(sys.read(n, l), kLockFree);
+}
+
+TEST(RtSystem, GrantsAndFreeOriginateAtTheSequencer) {
+  // As in the simulator, the root sequences grants and FREE as its own
+  // writes: the origin is the sequencer, not the requester or releaser.
+  RtSystem sys(small(3));
+  const auto l = sys.define_lock("l");
+  std::mutex mu;
+  std::vector<NodeId> origins;
+  sys.arm_interrupt(2, l, [&](VarId, Word, NodeId origin) {
+    {
+      std::lock_guard lk(mu);
+      origins.push_back(origin);
+    }
+    sys.resume_insharing(2);
+  });
+  sys.write(0, l, dsm::lock_request_value(0));
+  sys.quiesce();
+  sys.write(0, l, kLockFree);
+  sys.quiesce();
+  sys.disarm_interrupt(2, l);
+  const std::vector<NodeId> expected(2, RtSystem::kSequencer);
+  EXPECT_EQ(origins, expected);
 }
 
 TEST(RtSystem, SpeculativeMutexWriteFiltered) {

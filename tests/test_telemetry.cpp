@@ -568,5 +568,18 @@ TEST(ServiceReportGuards, ZeroWindowRatesAreZeroNotInf) {
   EXPECT_NEAR(report.shard_goodput_rps(0), 10.0, 1e-9);
 }
 
+TEST(ServiceReportGuards, BacklogSumsEveryOpClassOfOneShard) {
+  stats::ServiceReport report;
+  report.shards.resize(2);
+  report.shards[0].op(stats::ServiceOp::kWrite).issued = 10;
+  report.shards[0].op(stats::ServiceOp::kWrite).completed = 4;
+  report.shards[0].op(stats::ServiceOp::kTxn).issued = 3;
+  report.shards[1].op(stats::ServiceOp::kRead).issued = 5;
+  report.shards[1].op(stats::ServiceOp::kRead).completed = 5;
+  EXPECT_EQ(report.backlog(0), 9.0);
+  EXPECT_EQ(report.backlog(1), 0.0);
+  EXPECT_EQ(report.backlog(2), 0.0);  // out of range
+}
+
 }  // namespace
 }  // namespace optsync::telemetry

@@ -96,7 +96,7 @@ TEST(OrecTable, StripeOfIsStableAndInRange) {
 TEST(TxnManager, SpeculativeWritesStayLocalUntilCommit) {
   Fixture f;
   bool mid_checked = false;
-  auto p = [&]() -> sim::Process {
+  auto run_p = [&]() -> sim::Process {
     Txn t;
     f.mgr->begin(t, 1);
     f.mgr->write_word(t, f.site, 0, f.x, 42);
@@ -107,7 +107,8 @@ TEST(TxnManager, SpeculativeWritesStayLocalUntilCommit) {
     TxnManager::CommitResult res;
     co_await f.mgr->commit(t, &res).join();
     EXPECT_TRUE(res.committed);
-  }();
+  };
+  auto p = run_p();
   f.sched.run();
   p.rethrow_if_failed();
   EXPECT_TRUE(mid_checked);
@@ -123,7 +124,7 @@ TEST(TxnManager, SpeculativeWritesStayLocalUntilCommit) {
 TEST(TxnManager, AbortRestoresExactBytes) {
   Fixture f;
   // Establish non-zero committed state first.
-  auto setup = [&]() -> sim::Process {
+  auto run_setup = [&]() -> sim::Process {
     Txn t;
     f.mgr->begin(t, 0);
     f.mgr->write_word(t, f.site, 0, f.x, 7);
@@ -131,11 +132,12 @@ TEST(TxnManager, AbortRestoresExactBytes) {
     TxnManager::CommitResult res;
     co_await f.mgr->commit(t, &res).join();
     EXPECT_TRUE(res.committed);
-  }();
+  };
+  auto setup = run_setup();
   f.sched.run();
   setup.rethrow_if_failed();
 
-  auto p = [&]() -> sim::Process {
+  auto run_p = [&]() -> sim::Process {
     Txn t;
     f.mgr->begin(t, 3);
     f.mgr->write_word(t, f.site, 0, f.x, 100);
@@ -144,7 +146,8 @@ TEST(TxnManager, AbortRestoresExactBytes) {
     EXPECT_EQ(f.sys.node(3).read(f.x), 100);
     EXPECT_EQ(f.sys.node(3).read(f.y), 201);
     co_await f.mgr->abort(t).join();
-  }();
+  };
+  auto p = run_p();
   f.sched.run();
   p.rethrow_if_failed();
   // Exact pre-images restored locally; nothing ever left the node.
@@ -161,7 +164,7 @@ TEST(TxnManager, AbortRestoresExactBytes) {
 
 TEST(TxnManager, ReadSetValidationCatchesConflictingCommit) {
   Fixture f;
-  auto reader = [&]() -> sim::Process {
+  auto run_reader = [&]() -> sim::Process {
     Txn t;
     f.mgr->begin(t, 1);
     // Read x (stripe 0), then speculate on y (stripe 1) while a foreign
@@ -174,11 +177,13 @@ TEST(TxnManager, ReadSetValidationCatchesConflictingCommit) {
     co_await f.mgr->commit(t, &res).join();
     EXPECT_FALSE(res.committed);
     EXPECT_TRUE(res.validation_failed);
-  }();
-  auto writer = [&]() -> sim::Process {
+  };
+  auto reader = run_reader();
+  auto run_writer = [&]() -> sim::Process {
     co_await sim::delay(f.sched, 10'000);
     co_await foreign_commit(f, 2, f.x, 0, 55).join();
-  }();
+  };
+  auto writer = run_writer();
   f.sched.run();
   reader.rethrow_if_failed();
   writer.rethrow_if_failed();
@@ -197,7 +202,7 @@ TEST(TxnManager, BlindWriteSurvivesClobberAndCommitsOverIt) {
   // commit republishes the whole write-set under the site lock, which
   // orders the race (foreign first, ours second) and stays serializable.
   Fixture f;
-  auto spec = [&]() -> sim::Process {
+  auto run_spec = [&]() -> sim::Process {
     Txn t;
     f.mgr->begin(t, 1);
     f.mgr->write_word(t, f.site, 0, f.x, 100);  // arms the clobber interrupt
@@ -209,11 +214,13 @@ TEST(TxnManager, BlindWriteSurvivesClobberAndCommitsOverIt) {
     TxnManager::CommitResult res;
     co_await f.mgr->commit(t, &res).join();
     EXPECT_TRUE(res.committed);
-  }();
-  auto writer = [&]() -> sim::Process {
+  };
+  auto spec = run_spec();
+  auto run_writer = [&]() -> sim::Process {
     co_await sim::delay(f.sched, 10'000);
     co_await foreign_commit(f, 2, f.x, 0, 55).join();
-  }();
+  };
+  auto writer = run_writer();
   f.sched.run();
   spec.rethrow_if_failed();
   writer.rethrow_if_failed();
@@ -234,7 +241,7 @@ TEST(TxnManager, ReadSetClobberDoomsAndAbortKeepsForeignValue) {
   // the commit path aborts without acquiring any lock, and the rollback
   // converges the local replica on the foreign committed value.
   Fixture f;
-  auto spec = [&]() -> sim::Process {
+  auto run_spec = [&]() -> sim::Process {
     Txn t;
     f.mgr->begin(t, 1);
     const dsm::Word seen = f.mgr->read_word(t, f.site, 0, f.x);
@@ -245,11 +252,13 @@ TEST(TxnManager, ReadSetClobberDoomsAndAbortKeepsForeignValue) {
     co_await f.mgr->commit(t, &res).join();
     EXPECT_FALSE(res.committed);
     EXPECT_TRUE(res.doomed_at_commit);
-  }();
-  auto writer = [&]() -> sim::Process {
+  };
+  auto spec = run_spec();
+  auto run_writer = [&]() -> sim::Process {
     co_await sim::delay(f.sched, 10'000);
     co_await foreign_commit(f, 2, f.x, 0, 55).join();
-  }();
+  };
+  auto writer = run_writer();
   f.sched.run();
   spec.rethrow_if_failed();
   writer.rethrow_if_failed();
@@ -287,11 +296,12 @@ TEST(ContentionManager, JitteredBackoffIsDeterministicPerSeed) {
     ContentionConfig cfg;
     cfg.seed = 99;
     ContentionManager cm(f.sys, cfg);
-    auto p = [&]() -> sim::Process {
+    auto run_p = [&]() -> sim::Process {
       for (std::uint32_t k = 1; k <= 5; ++k) {
         co_await cm.backoff(4, k).join();
       }
-    }();
+    };
+    auto p = run_p();
     f.sched.run();
     p.rethrow_if_failed();
     EXPECT_EQ(cm.backoffs(), 5u);
@@ -382,11 +392,12 @@ TEST(StoreTxn, MultiRmwHasNoLostUpdates) {
 
 TEST(StoreTxn, MultiGetReturnsCommittedSnapshot) {
   StoreFixture f;
-  auto setup = [&]() -> sim::Process {
+  auto run_setup = [&]() -> sim::Process {
     shard::TxnRequest req;
     req.puts = {{10, 111}, {11, 222}};
     co_await f.client.txn(0, std::move(req)).join();
-  }();
+  };
+  auto setup = run_setup();
   f.sched.run();
   setup.rethrow_if_failed();
 
