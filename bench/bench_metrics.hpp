@@ -39,7 +39,8 @@
 // bench::Harness (below) layers the rest of the shared bench plumbing on
 // top: the standard flag set every bench accepts (--seed, --metrics-out,
 // --trace-out, --coalesce-max-writes, --coalesce-max-ns, --ack-delay-ns),
-// the flight recorder wiring for --trace-out, and the end-of-run writes.
+// the event-stream wiring for --trace-out and --journal-out, and the
+// end-of-run writes.
 // Before it, eleven bench mains and the CLI each re-parsed these flags by
 // hand and each grew its own subset.
 //
@@ -61,7 +62,6 @@
 #include "telemetry/sampler.hpp"
 #include "telemetry/tracer.hpp"
 #include "trace/chrome_export.hpp"
-#include "trace/recorder.hpp"
 #include "util/flags.hpp"
 
 namespace optsync::benchio {
@@ -136,7 +136,8 @@ class MetricsOut {
   std::vector<stats::LockStats> locks_;
 };
 
-/// The shared bench/CLI plumbing: standard flags, recorder, output writes.
+/// The shared bench/CLI plumbing: standard flags, event stream, output
+/// writes.
 ///
 /// Usage pattern:
 ///
@@ -145,7 +146,7 @@ class MetricsOut {
 ///   h.allow_only(flags, {"nodes", "think"});   // bench-specific extras
 ///   ...
 ///   Params p;
-///   h.apply(p.dsm);           // coalescing knobs, ack delay, recorder
+///   h.apply(p.dsm);           // coalescing knobs, ack delay, journal
 ///   ... run, fill h.metrics() rows ...
 ///   return h.finish() && ok ? 0 : 1;
 ///
@@ -153,8 +154,7 @@ class MetricsOut {
 /// unflagged run is byte-identical to constructing the config directly):
 ///   --seed N                 workload/fault seed (default 42)
 ///   --metrics-out PATH       optsync-bench/4 JSON document
-///   --trace-out PATH         Chrome trace of the run's flight record
-///   --trace-capacity N       flight-recorder ring size (default 65536)
+///   --trace-out PATH         Chrome trace of the run's event stream
 ///   --coalesce-max-writes N  root frame size cap (default 1 = unbatched)
 ///   --coalesce-max-ns NS     partial-frame flush deadline
 ///   --ack-delay-ns NS        reliable-channel delayed/piggybacked acks
@@ -162,7 +162,8 @@ class MetricsOut {
 ///   --timeseries-out PATH    optsync-timeseries/1 JSON of the sampler
 ///   --sample-interval-ns NS  sampler tick period (default 50000)
 ///   --journal-out PATH       optsync-journal/1 decision journal
-///   --journal-capacity N     journal event pool size (default 65536)
+///   --journal-capacity N     event pool size (default 65536); --trace-out
+///                            adds the protocol records to the same pool
 ///
 /// Validated while still signed — the pool size is a std::size_t, so a
 /// negative flag value would otherwise wrap into an absurd reserve.
@@ -180,7 +181,8 @@ class Harness {
         prom_out_(flags.get("prom-out")),
         timeseries_out_(flags.get("timeseries-out")),
         journal_out_(flags.get("journal-out")),
-        journal_(checked_journal_capacity(flags)),
+        journal_(checked_journal_capacity(flags),
+                 /*keep_protocol=*/tracing()),
         seed_(static_cast<std::uint64_t>(flags.get_int("seed", 42))),
         coalesce_max_writes_(static_cast<std::uint32_t>(
             flags.get_int("coalesce-max-writes",
@@ -189,8 +191,6 @@ class Harness {
             flags.get_int("coalesce-max-ns", dsm::DsmConfig{}.coalesce_max_ns)),
         ack_delay_ns_(flags.get_int("ack-delay-ns",
                                     net::ReliableConfig{}.ack_delay_ns)),
-        recorder_(static_cast<std::size_t>(
-            flags.get_int("trace-capacity", 1 << 16))),
         sampler_(telemetry::SamplerConfig{
             static_cast<sim::Duration>(flags.get_int(
                 "sample-interval-ns",
@@ -203,23 +203,22 @@ class Harness {
   void allow_only(const util::Flags& flags,
                   std::vector<std::string> extras) const {
     extras.insert(extras.end(),
-                  {"seed", "metrics-out", "trace-out", "trace-capacity",
+                  {"seed", "metrics-out", "trace-out",
                    "coalesce-max-writes", "coalesce-max-ns", "ack-delay-ns",
                    "prom-out", "timeseries-out", "sample-interval-ns",
                    "journal-out", "journal-capacity"});
     flags.allow_only(extras);
   }
 
-  /// Pushes the standard knobs into a run's DsmConfig. Wires the flight
-  /// recorder in when --trace-out was requested; the causal tracer is
-  /// always attached (an untraced op costs one branch per hook).
+  /// Pushes the standard knobs into a run's DsmConfig. Attaches the
+  /// journal when --trace-out or --journal-out was requested; the causal
+  /// tracer is always attached (an untraced op costs one branch per hook).
   void apply(dsm::DsmConfig& cfg) {
     cfg.coalesce_max_writes = coalesce_max_writes_;
     cfg.coalesce_max_ns = coalesce_max_ns_;
     cfg.reliable.ack_delay_ns = ack_delay_ns_;
-    if (tracing()) cfg.recorder = &recorder_;
     cfg.tracer = &tracer_;
-    if (journaling()) cfg.journal = &journal_;
+    if (tracing() || journaling()) cfg.journal = &journal_;
   }
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
@@ -236,7 +235,6 @@ class Harness {
     return !prom_out_.empty() || !timeseries_out_.empty();
   }
   [[nodiscard]] bool journaling() const { return !journal_out_.empty(); }
-  [[nodiscard]] trace::Recorder& recorder() { return recorder_; }
   [[nodiscard]] telemetry::Tracer& tracer() { return tracer_; }
   [[nodiscard]] telemetry::Sampler& sampler() { return sampler_; }
   [[nodiscard]] telemetry::Journal& journal() { return journal_; }
@@ -254,9 +252,9 @@ class Harness {
                   << "\n";
         ok = false;
       } else {
-        trace::write_chrome_trace(out, recorder_, &tracer_);
+        trace::write_chrome_trace(out, journal_, &tracer_);
         std::cout << "trace written to " << trace_out_ << " ("
-                  << recorder_.size() << " events; load in Perfetto or"
+                  << journal_.size() << " events; load in Perfetto or"
                   << " chrome://tracing)\n";
       }
     }
@@ -289,10 +287,10 @@ class Harness {
                   << "\n";
         ok = false;
       } else {
-        journal_.write_json(out);
+        const std::size_t written = journal_.write_json(out);
         out << "\n";
         std::cout << "journal written to " << journal_out_ << " ("
-                  << journal_.size() << " events";
+                  << written << " events";
         if (journal_.dropped() > 0) {
           std::cout << ", " << journal_.dropped() << " dropped";
         }
@@ -314,7 +312,6 @@ class Harness {
   std::uint32_t coalesce_max_writes_;
   sim::Duration coalesce_max_ns_;
   sim::Duration ack_delay_ns_;
-  trace::Recorder recorder_;
   telemetry::Tracer tracer_;
   telemetry::Sampler sampler_;
 };

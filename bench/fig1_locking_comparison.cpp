@@ -10,7 +10,7 @@
 //
 // A second section quantifies root write coalescing: the same GWC scenario
 // runs unbatched (--coalesce-max-writes=1) and batched, each under its own
-// flight recorder + GwcChecker, and the bench fails unless the batched run
+// GwcChecker, and the bench fails unless the batched run
 // applies the exact same mutex-data writes in the exact same order on every
 // node with the same grant order — coalescing may only change the framing,
 // never the observable write sequence.
@@ -24,7 +24,6 @@
 #include "bench_metrics.hpp"
 #include "stats/table.hpp"
 #include "trace/gwc_checker.hpp"
-#include "trace/recorder.hpp"
 #include "util/flags.hpp"
 #include "workloads/scenario_fig1.hpp"
 
@@ -51,17 +50,18 @@ struct CoalesceRun {
 CoalesceRun run_gwc_with_checker(workloads::Fig1Params params,
                                  std::uint32_t batch) {
   CoalesceRun run;
-  trace::Recorder rec(1 << 18);
-  trace::GwcChecker checker;
-  checker.install(rec);
-  rec.add_sink([&run](const trace::Event& e) {
-    if (e.kind == trace::EventKind::kNodeApply && e.label == "mutex-data") {
+  params.dsm.coalesce_max_writes = batch;
+  trace::GwcAudit audit(params.dsm);
+  const trace::GwcChecker& checker = audit.checker();
+  telemetry::Journal& journal = *params.dsm.journal;
+  const auto sink = journal.add_sink([&run](const auto& e) {
+    if (e.kind == telemetry::Journal::Kind::kNodeApply &&
+        e.label == "mutex-data") {
       run.applied[e.node].emplace_back(e.var, e.value, e.origin);
     }
   });
-  params.dsm.coalesce_max_writes = batch;
-  params.dsm.recorder = &rec;
   run.res = run_scenario_fig1(workloads::Fig1Model::kGwc, params);
+  journal.remove_sink(sink);
   run.checker_ok = checker.ok();
   run.checker_report = checker.report();
   return run;

@@ -19,6 +19,7 @@
 #include <array>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,7 +35,6 @@
 #include "stats/table.hpp"
 #include "telemetry/sampler.hpp"
 #include "trace/gwc_checker.hpp"
-#include "trace/recorder.hpp"
 #include "util/flags.hpp"
 
 namespace {
@@ -298,8 +298,8 @@ int main(int argc, char** argv) try {
   }
 
   // --- verified streams (GWC checker + applied-log equality) -------------
-  // One saturated run with the full event checker streaming off the flight
-  // recorder AND every member's applied-write log captured: beyond the
+  // One saturated run with the full event checker streaming off the event
+  // stream AND every member's applied-write log captured: beyond the
   // ledger/convergence checks above, this proves every replica of every
   // shard applied the same canonical (seq, var, value, origin) stream —
   // identical across members except for the root echoes of a member's own
@@ -310,10 +310,8 @@ int main(int argc, char** argv) try {
     const auto topo = net::MeshTorus2D::near_square(nodes);
     dsm::DsmConfig cfg;
     harness.apply(cfg);
-    trace::Recorder rec(1 << 12);  // ring may evict; the checker streams
-    trace::GwcChecker checker;
-    checker.install(rec);
-    cfg.recorder = &rec;
+    const trace::GwcAudit audit(cfg);
+    const trace::GwcChecker& checker = audit.checker();
     dsm::DsmSystem sys(sched, topo, cfg);
     for (dsm::NodeId n = 0; n < static_cast<dsm::NodeId>(topo.size()); ++n) {
       sys.node(n).enable_applied_log(true);
@@ -517,19 +515,20 @@ int main(int argc, char** argv) try {
       std::uint64_t grants = 0;
       std::uint64_t invals = 0;
       std::uint64_t remote = 0;
+      bool gwc_ok = true;
+      std::uint64_t gwc_writes = 0;
     };
+    // A faulted run (non-null plan) is GWC-audited too.
     auto run_once = [&](bool leases, std::uint64_t seed,
-                        const faults::FaultPlan* plan,
-                        trace::GwcChecker* checker) {
+                        const faults::FaultPlan* plan) {
       sim::Scheduler sched;
       const auto topo = net::MeshTorus2D::near_square(nodes);
       dsm::DsmConfig cfg;
       harness.apply(cfg);
-      trace::Recorder rec(1 << 12);
-      if (plan != nullptr) cfg.faults = *plan;
-      if (checker != nullptr) {
-        checker->install(rec);
-        cfg.recorder = &rec;
+      std::optional<trace::GwcAudit> audit;
+      if (plan != nullptr) {
+        cfg.faults = *plan;
+        audit.emplace(cfg);
       }
       dsm::DsmSystem sys(sched, topo, cfg);
       shard::ShardedStoreConfig scfg;
@@ -559,6 +558,10 @@ int main(int argc, char** argv) try {
       const auto& aud = store.leases()->auditor();
       res.auditor_ok = aud.ok();
       res.audit_checks = aud.checks();
+      if (audit) {
+        res.gwc_ok = audit->checker().ok();
+        res.gwc_writes = audit->checker().writes_checked();
+      }
       for (const auto& s : res.report.shards) {
         res.hits += s.lease_hits;
         res.grants += s.lease_grants;
@@ -570,8 +573,8 @@ int main(int argc, char** argv) try {
     };
 
     const std::uint64_t lease_seed = harness.seed() ^ 0x1ea5edull;
-    const auto off = run_once(false, lease_seed, nullptr, nullptr);
-    const auto on = run_once(true, lease_seed, nullptr, nullptr);
+    const auto off = run_once(false, lease_seed, nullptr);
+    const auto on = run_once(true, lease_seed, nullptr);
     const double speedup =
         off.report.goodput_rps() == 0.0
             ? 0.0
@@ -626,15 +629,13 @@ int main(int argc, char** argv) try {
       faults::FaultPlan plan(fs);
       plan.drop(0.08, "lock").drop(0.08, "data").drop(0.08, "lease")
           .drop(0.08, "svc").duplicate(0.04);
-      trace::GwcChecker checker;
-      const auto res = run_once(true, lease_seed ^ (fs << 8), &plan,
-                                &checker);
+      const auto res = run_once(true, lease_seed ^ (fs << 8), &plan);
       soak_checks += res.audit_checks;
-      soak_writes += checker.writes_checked();
-      if (!checker.ok() || !res.auditor_ok || !res.report.serializable() ||
+      soak_writes += res.gwc_writes;
+      if (!res.gwc_ok || !res.auditor_ok || !res.report.serializable() ||
           !res.converged) {
         std::cout << "LEASE SOAK VIOLATION at fault seed " << fs
-                  << " (gwc=" << checker.ok()
+                  << " (gwc=" << res.gwc_ok
                   << ", auditor=" << res.auditor_ok
                   << ", serializable=" << res.report.serializable()
                   << ", converged=" << res.converged << ")\n";
@@ -709,10 +710,7 @@ int main(int argc, char** argv) try {
       const auto topo = net::MeshTorus2D::near_square(nodes);
       dsm::DsmConfig cfg;
       harness.apply(cfg);
-      trace::Recorder rec(1 << 12);
-      trace::GwcChecker checker;
-      checker.install(rec);
-      cfg.recorder = &rec;
+      const trace::GwcAudit audit(cfg);
       dsm::DsmSystem sys(sched, topo, cfg);
       shard::ShardedStoreConfig scfg;
       scfg.shards = 4;
@@ -749,8 +747,8 @@ int main(int argc, char** argv) try {
       if (ctrl) ctrl->stop();
       store.fill_report(res.report);
       res.converged = store.replicas_converged();
-      res.checker_ok = checker.ok();
-      res.writes_checked = checker.writes_checked();
+      res.checker_ok = audit.checker().ok();
+      res.writes_checked = audit.checker().writes_checked();
       if (ctrl) res.actions = ctrl->actions();
       for (std::uint32_t s = 0; s < store.shards(); ++s) {
         res.migrations += store.migrations(s);

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,7 +38,6 @@
 #include "shard/sharded_store.hpp"
 #include "stats/table.hpp"
 #include "trace/gwc_checker.hpp"
-#include "trace/recorder.hpp"
 #include "util/flags.hpp"
 
 namespace {
@@ -113,12 +113,10 @@ RunResult run_txn(bench::Harness& harness, std::uint32_t nodes,
   const auto topo = net::MeshTorus2D::near_square(nodes);
   dsm::DsmConfig cfg;
   harness.apply(cfg);
-  trace::Recorder recorder(1 << 10);
-  trace::GwcChecker checker;
+  std::optional<trace::GwcAudit> audit;
   if (fault_seed != 0) {
     cfg.faults = txn_attack(fault_seed);
-    checker.install(recorder);
-    cfg.recorder = &recorder;
+    audit.emplace(cfg);
   }
   dsm::DsmSystem sys(sched, topo, cfg);
 
@@ -153,7 +151,8 @@ RunResult run_txn(bench::Harness& harness, std::uint32_t nodes,
   drive.rethrow_if_failed();
   store.fill_report(res.report);
   res.converged = store.replicas_converged();
-  if (fault_seed != 0) {
+  if (audit) {
+    const trace::GwcChecker& checker = audit->checker();
     res.gwc_ok = checker.ok();
     res.gwc_writes = checker.writes_checked();
     if (!res.gwc_ok) res.gwc_report = checker.report();

@@ -14,6 +14,7 @@ using dsm::lock_request_value;
 using dsm::NodeId;
 using dsm::VarId;
 using dsm::Word;
+using Kind = telemetry::Journal::Kind;
 
 OptimisticMutex::OptimisticMutex(dsm::DsmSystem& sys, VarId lock, Config cfg)
     : sys_(&sys), lock_(lock), cfg_(cfg) {
@@ -47,12 +48,12 @@ sim::Process OptimisticMutex::acquire(NodeId n) {
   const sim::Time requested = sys_->scheduler().now();
 
   const Word old_val = node.atomic_exchange(lock_, lock_request_value(n));
-  emit(n, trace::EventKind::kLockRequest, lock_request_value(n));
+  emit(n, Kind::kLockRequest, lock_request_value(n));
   st.req.request(old_val);
   while (node.read(lock_) != lock_grant_value(n)) {
     co_await node.on_change(lock_).wait();
   }
-  emit(n, trace::EventKind::kLockAcquire, lock_grant_value(n));
+  emit(n, Kind::kLockAcquire, lock_grant_value(n));
 
   const sim::Duration waited = sys_->scheduler().now() - requested;
   ++stats_.acquisitions;
@@ -63,7 +64,7 @@ sim::Process OptimisticMutex::acquire(NodeId n) {
 void OptimisticMutex::release(NodeId n) {
   OPTSYNC_EXPECT(held_by(n));
   sys_->node(n).write(lock_, kLockFree);
-  emit(n, trace::EventKind::kLockRelease, kLockFree);
+  emit(n, Kind::kLockRelease, kLockFree);
   ++stats_.releases;
 }
 
@@ -75,21 +76,6 @@ double OptimisticMutex::history_value(NodeId n) const {
 bool OptimisticMutex::in_section(NodeId n) const {
   const auto it = states_.find(n);
   return it != states_.end() && it->second.in_section;
-}
-
-void OptimisticMutex::emit(NodeId n, trace::EventKind kind, Word value) {
-  auto* rec = sys_->recorder();
-  if (rec == nullptr) return;
-  trace::Event e;
-  e.t = sys_->scheduler().now();
-  e.kind = kind;
-  e.node = n;
-  e.group = sys_->var(lock_).group;
-  e.var = lock_;
-  e.value = value;
-  e.origin = n;
-  e.label = "lock";
-  rec->record(e);
 }
 
 // Interrupt code (paper Fig. 5). Invoked by the sharing interface when an
@@ -176,7 +162,7 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
   // Lines 03-04: atomically save the old local value and request the lock.
   const Word old_val = node.atomic_exchange(lock_, lock_request_value(n));
   if (wait_span != 0) trc->set_node_parent(n, octx.span);
-  emit(n, trace::EventKind::kLockRequest, lock_request_value(n));
+  emit(n, Kind::kLockRequest, lock_request_value(n));
 
   // Line 05: update usage frequency history from the observed local state.
   st.req.request(old_val);
@@ -199,7 +185,7 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
     if (path.history_veto) {
       ++stats_.history_vetoes;
       if (cfg_.lock_stats != nullptr) ++cfg_.lock_stats->history_vetoes;
-      emit(n, trace::EventKind::kHistoryVeto, old_val);
+      emit(n, Kind::kHistoryVeto, old_val);
     }
     // Line 08. No interrupt can have fired yet: arming and this branch run
     // within one scheduler event, so disarming is race-free.
@@ -217,7 +203,7 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
     }
     acquired_at = sched.now();
     if (wait_span != 0) trc->end_span(wait_span, acquired_at);
-    emit(n, trace::EventKind::kLockAcquire, lock_grant_value(n));
+    emit(n, Kind::kLockAcquire, lock_grant_value(n));
     co_await section.body(node).join();  // lines 11-12
   } else {
     // ---- Optimistic path (lines 14-19) --------------------------------
@@ -227,7 +213,7 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
       ++cfg_.lock_stats->speculative_attempts;
       ++cfg_.lock_stats->history_allows;
     }
-    emit(n, trace::EventKind::kSpeculateBegin, old_val);
+    emit(n, Kind::kSpeculateBegin, old_val);
     const sim::Time spec_begin = sched.now();
 
     // Lines 14-15: save every variable the section will change.
@@ -274,7 +260,7 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
         ++stats_.rollbacks;
         local_stats.rolled_back = true;
         if (cfg_.lock_stats != nullptr) ++cfg_.lock_stats->rollbacks;
-        emit(n, trace::EventKind::kRollback, node.read(lock_));
+        emit(n, Kind::kRollback, node.read(lock_));
         node.resume_insharing();  // line 25
         continue;                 // line 26: back to the wait loop
       }
@@ -293,13 +279,13 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
       // The speculation was undone; run the section for real now that the
       // lock is held and every local shared value is valid (GWC ordering:
       // all of the previous holder's writes preceded our grant).
-      emit(n, trace::EventKind::kLockAcquire, lock_grant_value(n));
+      emit(n, Kind::kLockAcquire, lock_grant_value(n));
       co_await section.body(node).join();
     } else {
       ++stats_.optimistic_successes;
       if (cfg_.lock_stats != nullptr) ++cfg_.lock_stats->speculative_commits;
-      emit(n, trace::EventKind::kSpeculateCommit, lock_grant_value(n));
-      emit(n, trace::EventKind::kLockAcquire, lock_grant_value(n));
+      emit(n, Kind::kSpeculateCommit, lock_grant_value(n));
+      emit(n, Kind::kLockAcquire, lock_grant_value(n));
       st.journal.discard();
       st.req.commit();
     }
@@ -309,7 +295,7 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
   // writes through the root, so every member sees data-before-release.
   node.disarm_interrupt(lock_);
   node.write(lock_, kLockFree);
-  emit(n, trace::EventKind::kLockRelease, kLockFree);
+  emit(n, Kind::kLockRelease, kLockFree);
   st.in_section = false;
   local_stats.finished_at = sched.now();
   if (trc != nullptr && octx.valid()) {

@@ -28,7 +28,7 @@
 #include "simkern/coro.hpp"
 #include "stats/lock_stats.hpp"
 #include "sync/lock.hpp"
-#include "trace/recorder.hpp"
+#include "telemetry/journal.hpp"
 
 namespace optsync::core {
 
@@ -151,7 +151,14 @@ class OptimisticMutex : public sync::Lock {
   NodeState& state(dsm::NodeId n);
   void on_lock_interrupt(dsm::NodeId n, dsm::Word value);
   sim::Process execute_impl(dsm::NodeId n, Section section, ExecuteStats* out);
-  void emit(dsm::NodeId n, trace::EventKind kind, dsm::Word value);
+  /// Reports a lock transition to the attached journal; inline so the
+  /// common no-journal case stays one load and branch.
+  void emit(dsm::NodeId n, telemetry::Journal::Kind kind, dsm::Word value) {
+    if (auto* j = sys_->journal()) {
+      j->protocol(kind, sys_->scheduler().now(), n, sys_->var(lock_).group,
+                  lock_, 0, value, n, "lock");
+    }
+  }
 
   dsm::DsmSystem* sys_;
   dsm::VarId lock_;

@@ -6,6 +6,8 @@
 
 namespace optsync::dsm {
 
+using JournalKind = telemetry::Journal::Kind;
+
 DsmNode::DsmNode(DsmSystem& sys, NodeId id)
     : sys_(&sys), id_(id) {}
 
@@ -152,18 +154,18 @@ void DsmNode::deliver_frame(GroupId g, const Frame& frame) {
   }
 }
 
-void DsmNode::record(trace::Recorder& rec, trace::EventKind kind,
+void DsmNode::record(telemetry::Journal& j, telemetry::Journal::Kind kind,
                      const Pending& p, VarKind var_kind) const {
-  rec.record(trace::Event{sys_->scheduler().now(), kind, id_, p.group, p.var,
-                          p.seq, p.value, p.origin, var_kind_name(var_kind)});
+  j.protocol(kind, sys_->scheduler().now(), id_, p.group, p.var, p.seq,
+             p.value, p.origin, var_kind_name(var_kind));
 }
 
 void DsmNode::apply(const Pending& p) {
   const VarInfo& info = sys_->var(p.var);
   if (hw_blocking_ && echo_blocked(info.kind, p.origin, id_)) {
     ++stats_.echoes_dropped;
-    if (auto* rec = sys_->recorder()) {
-      record(*rec, trace::EventKind::kEchoDrop, p, info.kind);
+    if (auto* j = sys_->journal()) {
+      record(*j, JournalKind::kEchoDrop, p, info.kind);
     }
     return;
   }
@@ -177,8 +179,8 @@ void DsmNode::apply(const Pending& p) {
   ensure_capacity(p.var);
   memory_[p.var] = p.value;
   ++stats_.updates_applied;
-  if (auto* rec = sys_->recorder()) {
-    record(*rec, trace::EventKind::kNodeApply, p, info.kind);
+  if (auto* j = sys_->journal()) {
+    record(*j, JournalKind::kNodeApply, p, info.kind);
   }
   if (log_applied_) {
     applied_[p.group].push_back(

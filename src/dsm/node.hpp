@@ -18,7 +18,7 @@
 #include "dsm/frame.hpp"
 #include "dsm/types.hpp"
 #include "simkern/coro.hpp"
-#include "trace/recorder.hpp"
+#include "telemetry/journal.hpp"
 #include "util/ring.hpp"
 
 namespace optsync::dsm {
@@ -129,8 +129,8 @@ class DsmNode {
 
   void accept(const Pending& p);
   void apply(const Pending& p);
-  void record(trace::Recorder& rec, trace::EventKind kind, const Pending& p,
-              VarKind var_kind) const;
+  void record(telemetry::Journal& j, telemetry::Journal::Kind kind,
+              const Pending& p, VarKind var_kind) const;
   void ensure_capacity(VarId v);
 
   /// Per-group in-order delivery gate. GWC needs every member to apply a

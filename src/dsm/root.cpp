@@ -9,18 +9,19 @@
 
 namespace optsync::dsm {
 
+using JournalKind = telemetry::Journal::Kind;
+
 GroupRoot::GroupRoot(DsmSystem& sys, GroupId gid)
     : sys_(&sys),
       gid_(gid),
       coalesce_writes_(std::max(1u, sys.config().coalesce_max_writes)),
       coalesce_ns_(sys.config().coalesce_max_ns) {}
 
-void GroupRoot::record(trace::Recorder& rec, trace::EventKind kind, VarId v,
-                       std::uint64_t seq, Word value, NodeId origin,
+void GroupRoot::record(telemetry::Journal& j, telemetry::Journal::Kind kind,
+                       VarId v, std::uint64_t seq, Word value, NodeId origin,
                        std::string_view label) const {
-  rec.record(trace::Event{sys_->scheduler().now(), kind,
-                          sys_->group(gid_).root(), gid_, v, seq, value,
-                          origin, label});
+  j.protocol(kind, sys_->scheduler().now(), sys_->group(gid_).root(), gid_, v,
+             seq, value, origin, label);
 }
 
 void GroupRoot::set_coalesce(std::uint32_t max_writes, sim::Duration max_ns) {
@@ -63,8 +64,8 @@ void GroupRoot::on_arrival(NodeId origin, VarId v, Word value,
         ++stats_.speculative_drops;
         sim::log_debug("root g", gid_, " drops speculative write of ",
                        info.name, "=", value, " from n", origin);
-        if (auto* rec = sys_->recorder()) {
-          record(*rec, trace::EventKind::kRootDropSpec, v, 0, value, origin,
+        if (auto* j = sys_->journal()) {
+          record(*j, JournalKind::kRootDropSpec, v, 0, value, origin,
                  var_kind_name(info.kind));
         }
         return;
@@ -112,8 +113,8 @@ void GroupRoot::multicast(VarId v, Word value, NodeId origin,
   const std::uint64_t seq = next_seq_++;
   ++stats_.sequenced;
   const VarKind kind = sys_->var(v).kind;
-  if (auto* rec = sys_->recorder()) {
-    record(*rec, trace::EventKind::kRootSequence, v, seq, value, origin,
+  if (auto* j = sys_->journal()) {
+    record(*j, JournalKind::kRootSequence, v, seq, value, origin,
            var_kind_name(kind));
   }
 
@@ -183,8 +184,8 @@ void GroupRoot::flush_pending(bool timer_fired) {
   }
   stats_.max_frame_writes =
       std::max(stats_.max_frame_writes, pending_.writes.size());
-  if (auto* rec = sys_->recorder()) {
-    record(*rec, trace::EventKind::kFrameFlush, 0, pending_.first_seq(),
+  if (auto* j = sys_->journal()) {
+    record(*j, JournalKind::kFrameFlush, 0, pending_.first_seq(),
            static_cast<Word>(pending_.writes.size()), kNoNode,
            timer_fired ? "timer" : "size");
   }

@@ -16,7 +16,7 @@
 #include "dsm/root_core.hpp"
 #include "dsm/types.hpp"
 #include "simkern/scheduler.hpp"
-#include "trace/recorder.hpp"
+#include "telemetry/journal.hpp"
 #include "util/ring.hpp"
 
 namespace optsync::dsm {
@@ -117,7 +117,7 @@ class GroupRoot {
                  telemetry::SpanContext ctx = {});
   void flush_pending(bool timer_fired);
 
-  void record(trace::Recorder& rec, trace::EventKind kind, VarId v,
+  void record(telemetry::Journal& j, telemetry::Journal::Kind kind, VarId v,
               std::uint64_t seq, Word value, NodeId origin,
               std::string_view label) const;
 

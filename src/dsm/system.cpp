@@ -2,7 +2,7 @@
 
 #include "simkern/assert.hpp"
 #include "telemetry/tracer.hpp"
-#include "trace/recorder.hpp"
+#include "telemetry/journal.hpp"
 
 namespace optsync::dsm {
 
@@ -21,21 +21,14 @@ DsmSystem::DsmSystem(sim::Scheduler& sched, const net::Topology& topo,
   if (!config_.faults.empty()) {
     injector_.emplace(net_, config_.faults);
   }
-  if (config_.recorder != nullptr) {
+  if (config_.journal != nullptr) {
     // Tap every network delivery (and reliable-channel outcome: expiry,
-    // revival, dedup all flow through emit_trace) into the recorder. An
-    // observer, not the primary hook, so tests' own hooks coexist.
-    net_.add_trace_observer([rec = config_.recorder](
-                                const net::MessageTrace& t) {
-      trace::Event e;
-      e.t = t.delivered_at;
-      e.kind = trace::EventKind::kNetDeliver;
-      e.node = t.dst;
-      e.origin = t.src;
-      e.value = static_cast<std::int64_t>(t.bytes);
-      e.seq = static_cast<std::uint64_t>(t.kind);  // DeliveryKind ordinal
-      e.label = t.tag;
-      rec->record(e);
+    // revival, dedup all flow through emit_trace) into the journal.
+    // seq holds the DeliveryKind ordinal, value the message bytes.
+    net_.add_trace_observer([j = config_.journal](const net::MessageTrace& t) {
+      j->protocol(telemetry::Journal::Kind::kNetDeliver, t.delivered_at, t.dst,
+                  0, 0, static_cast<std::uint64_t>(t.kind),
+                  static_cast<std::int64_t>(t.bytes), t.src, t.tag);
     });
   }
   nodes_.reserve(topo.size());

@@ -98,13 +98,10 @@ class DsmSystem {
     return injector_ ? &*injector_ : nullptr;
   }
 
-  /// The attached flight recorder, or nullptr (from DsmConfig::recorder).
-  [[nodiscard]] trace::Recorder* recorder() const { return config_.recorder; }
-
   /// The attached causal tracer, or nullptr (from DsmConfig::tracer).
   [[nodiscard]] telemetry::Tracer* tracer() const { return config_.tracer; }
 
-  /// The attached decision journal, or nullptr (from DsmConfig::journal).
+  /// The attached event stream, or nullptr (from DsmConfig::journal).
   [[nodiscard]] telemetry::Journal* journal() const {
     return config_.journal;
   }

@@ -12,10 +12,6 @@
 #include "net/topology.hpp"
 #include "simkern/time.hpp"
 
-namespace optsync::trace {
-class Recorder;
-}
-
 namespace optsync::telemetry {
 class Tracer;
 class Journal;
@@ -154,12 +150,6 @@ struct DsmConfig {
   /// it is implied whenever `faults` is non-empty.
   net::ReliableConfig reliable;
 
-  /// Optional flight recorder. When set, the substrate reports network
-  /// deliveries, root sequencing/filtering, and member application into it
-  /// (trace/recorder.hpp); core/OptimisticMutex adds lock and speculation
-  /// transitions. Not owned; must outlive the DsmSystem. nullptr = off.
-  trace::Recorder* recorder = nullptr;
-
   /// Optional causal tracer (telemetry/tracer.hpp). When set, lock traffic
   /// carries SpanContext end to end: the substrate records wire-up/queue/
   /// coalesce/dispatch/wire-down spans for every traced lock request so
@@ -167,11 +157,15 @@ struct DsmConfig {
   /// (invalid node context) cost one branch. Not owned. nullptr = off.
   telemetry::Tracer* tracer = nullptr;
 
-  /// Optional decision journal (telemetry/journal.hpp). When set, the
-  /// speculative layers append typed forensics records — txn aborts with
-  /// reason + conflicting stripe/owner, lease epoch transitions, elastic
-  /// ladder steps with their triggering inputs. Bounded and pooled; a full
-  /// journal drops silently. Not owned. nullptr = off.
+  /// Optional event stream (telemetry/journal.hpp). When set, the
+  /// substrate reports network deliveries, root sequencing/filtering, frame
+  /// flushes and member application into it, core/OptimisticMutex adds
+  /// lock and speculation transitions, and the service layers add decision
+  /// records — txn aborts with reason + conflicting stripe/owner, lease
+  /// epoch transitions, elastic ladder steps with their triggering inputs.
+  /// Sinks (the GWC checker) see every record; the bounded pool keeps
+  /// protocol records only when the journal was built to. Not owned; must
+  /// outlive the DsmSystem. nullptr = off.
   telemetry::Journal* journal = nullptr;
 };
 

@@ -34,7 +34,7 @@ void Network::send(NodeId src, NodeId dst, std::uint32_t bytes,
 
 void Network::deliver_at(sim::Duration delay, MessageTrace trace,
                          DeliveryFn on_delivery) {
-  if (trace_ || !observers_.empty()) {
+  if (observing()) {
     // Capture trace data now; emit at delivery so lines appear in arrival
     // order, which is what the Fig. 7 trace bench wants to show.
     sched_->after(delay, [this, trace, cb = std::move(on_delivery)]() mutable {

@@ -141,26 +141,20 @@ class Network {
     stats_.hop_bytes += static_cast<std::uint64_t>(bytes) * hops * n;
   }
 
-  /// True when some hook or observer wants a record of every delivery.
-  [[nodiscard]] bool observing() const {
-    return trace_ != nullptr || !observers_.empty();
-  }
+  /// True when some observer wants a record of every delivery.
+  [[nodiscard]] bool observing() const { return !observers_.empty(); }
 
-  /// Installs a hook observing every delivery (replaces any previous hook).
+  /// Adds an observer of every delivery; observers run in the order they
+  /// were added. The event stream (DsmConfig::journal) taps the network
+  /// this way, alongside any a test or workload adds.
   using TraceHook = std::function<void(const MessageTrace&)>;
-  void set_trace_hook(TraceHook hook) { trace_ = std::move(hook); }
-
-  /// Adds an additional observer without displacing the primary hook. The
-  /// flight recorder taps the network this way so tests that install their
-  /// own trace hook keep working alongside it.
   void add_trace_observer(TraceHook hook) {
     observers_.push_back(std::move(hook));
   }
 
-  /// Emits a record straight to the trace hook. Used by layered protocols
+  /// Emits a record straight to the observers. Used by layered protocols
   /// to report events the raw network cannot see (duplicate suppression).
   void emit_trace(const MessageTrace& t) {
-    if (trace_) trace_(t);
     for (const auto& obs : observers_) obs(t);
   }
 
@@ -178,7 +172,6 @@ class Network {
   const Topology* topo_;
   LinkModel link_;
   NetworkStats stats_;
-  TraceHook trace_;
   std::vector<TraceHook> observers_;
   FaultHook fault_;
 };

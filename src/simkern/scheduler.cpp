@@ -14,7 +14,6 @@ bool Scheduler::step() {
   auto [time, id, callback] = queue_.pop();
   now_ = time;
   ++processed_;
-  if (dispatch_) dispatch_(time, id);
   callback();
   return true;
 }

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "simkern/event_queue.hpp"
 #include "simkern/time.hpp"
@@ -94,19 +93,12 @@ class Scheduler {
   /// Total events executed over the scheduler's lifetime.
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
-  /// Observes every dispatched event (fired after the clock advances,
-  /// before the callback runs). Used by the flight recorder; nullptr
-  /// removes it. Must not schedule or cancel events.
-  using DispatchHook = std::function<void(Time, EventId)>;
-  void set_dispatch_hook(DispatchHook hook) { dispatch_ = std::move(hook); }
-
  private:
   EventQueue queue_;
   Time now_ = 0;
   bool stopped_ = false;
   std::uint64_t processed_ = 0;
   std::size_t housekeeping_armed_ = 0;
-  DispatchHook dispatch_;
 };
 
 }  // namespace optsync::sim

@@ -11,15 +11,14 @@ RtSampler::~RtSampler() { stop(); }
 
 void RtSampler::add_gauge(std::string name, Labels labels,
                           std::function<double()> fn) {
-  probes_.push_back(Probe{set_.series(std::move(name), std::move(labels)),
-                          std::move(fn)});
+  probes_.push_back(
+      Probe{set_.series(std::move(name), std::move(labels)), std::move(fn)});
 }
 
 void RtSampler::add_rate(std::string name, Labels labels,
                          std::function<double()> counter) {
-  Probe p{set_.series(std::move(name), std::move(labels)), std::move(counter)};
-  p.rate = true;
-  probes_.push_back(std::move(p));
+  probes_.push_back(Probe{set_.series(std::move(name), std::move(labels)),
+                          std::move(counter), /*rate=*/true});
 }
 
 void RtSampler::start() {
@@ -46,23 +45,7 @@ void RtSampler::sample_once(std::chrono::steady_clock::time_point t0) {
   const auto now = std::chrono::steady_clock::now();
   const auto t = static_cast<sim::Time>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(now - t0).count());
-  for (Probe& p : probes_) {
-    const double raw = p.fn();
-    if (!p.rate) {
-      set_.append(p.idx, t, raw);
-      continue;
-    }
-    // Mirrors Sampler's rate probe: prime on the first tick, and never
-    // divide by a zero-length interval.
-    double v = 0.0;
-    if (p.primed && t > p.prev_t) {
-      v = (raw - p.prev) * 1e9 / static_cast<double>(t - p.prev_t);
-    }
-    p.prev = raw;
-    p.prev_t = t;
-    p.primed = true;
-    set_.append(p.idx, t, v);
-  }
+  for (Probe& p : probes_) p.sample(set_, t);
   ticks_.fetch_add(1, std::memory_order_relaxed);
 }
 

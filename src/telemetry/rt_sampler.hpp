@@ -1,6 +1,6 @@
 // Wall-clock telemetry sampler for the threaded-rt substrate (rt/).
 //
-// Same probe/SeriesSet model as the sim-clock Sampler, driven by a real
+// Same Probe/SeriesSet model as the sim-clock Sampler, driven by a real
 // sampling thread instead of scheduler events: rt/ runs on genuine OS
 // threads with no discrete-event clock to hang ticks off. Timestamps are
 // nanoseconds since start() on the steady clock, so the exported series
@@ -71,14 +71,6 @@ class RtSampler {
 
   std::chrono::microseconds interval_;
   SeriesSet set_;
-  struct Probe {
-    std::size_t idx;
-    std::function<double()> fn;
-    bool rate = false;
-    bool primed = false;
-    double prev = 0.0;
-    sim::Time prev_t = 0;
-  };
   std::vector<Probe> probes_;
   std::thread thread_;
   std::mutex mu_;

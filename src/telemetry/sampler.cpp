@@ -10,19 +10,14 @@ Sampler::Sampler(SamplerConfig cfg) : cfg_(cfg), set_(cfg.capacity) {
 
 void Sampler::add_gauge(std::string name, Labels labels,
                         std::function<double()> fn) {
-  Probe p;
-  p.idx = set_.series(std::move(name), std::move(labels));
-  p.fn = std::move(fn);
-  probes_.push_back(std::move(p));
+  probes_.push_back(
+      Probe{set_.series(std::move(name), std::move(labels)), std::move(fn)});
 }
 
 void Sampler::add_rate(std::string name, Labels labels,
                        std::function<double()> counter) {
-  Probe p;
-  p.idx = set_.series(std::move(name), std::move(labels));
-  p.fn = std::move(counter);
-  p.rate = true;
-  probes_.push_back(std::move(p));
+  probes_.push_back(Probe{set_.series(std::move(name), std::move(labels)),
+                          std::move(counter), /*rate=*/true});
 }
 
 void Sampler::start(sim::Scheduler& sched) {
@@ -39,21 +34,7 @@ void Sampler::stop() {
 
 void Sampler::sample_now(sim::Time now) {
   ++ticks_;
-  for (Probe& p : probes_) {
-    const double raw = p.fn();
-    double v = raw;
-    if (p.rate) {
-      const sim::Duration dt = now - p.prev_t;
-      // Zero-length windows and the priming tick record 0, never inf.
-      v = (p.primed && dt > 0)
-              ? (raw - p.prev) / (static_cast<double>(dt) / 1e9)
-              : 0.0;
-      p.prev = raw;
-      p.prev_t = now;
-      p.primed = true;
-    }
-    set_.append(p.idx, now, v);
-  }
+  for (Probe& p : probes_) p.sample(set_, now);
 }
 
 void Sampler::tick() {

@@ -8,12 +8,9 @@
 // forever. The final partial interval is captured by calling sample_now()
 // once after the scheduler returns.
 //
-// Two probe flavors:
-//   * add_gauge  — the callback IS the sample (backlog depth, queue length)
-//   * add_rate   — the callback is a monotone counter; the sample is its
-//     per-second increase since the previous tick (retransmits/s,
-//     goodput). The first tick primes the counter and records 0; a
-//     zero-length interval records 0 (never a division by zero).
+// Two probe flavors (telemetry::Probe, shared with RtSampler): add_gauge,
+// whose callback is the sample, and add_rate, whose callback is a monotone
+// counter sampled as its per-second increase since the previous tick.
 #pragma once
 
 #include <cstdint>
@@ -64,15 +61,6 @@ class Sampler {
 
  private:
   void tick();
-
-  struct Probe {
-    std::size_t idx = 0;  ///< series index in set_
-    std::function<double()> fn;
-    bool rate = false;
-    bool primed = false;
-    double prev = 0.0;
-    sim::Time prev_t = 0;
-  };
 
   SamplerConfig cfg_;
   SeriesSet set_;

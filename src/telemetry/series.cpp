@@ -193,4 +193,18 @@ void SeriesSet::write_json(std::ostream& out, sim::Duration interval_ns) const {
   out << "\n";
 }
 
+void Probe::sample(SeriesSet& set, sim::Time now) {
+  const double raw = fn();
+  double v = raw;
+  if (rate) {
+    const sim::Duration dt = now - prev_t;
+    v = (primed && dt > 0) ? (raw - prev) / (static_cast<double>(dt) / 1e9)
+                           : 0.0;
+    prev = raw;
+    prev_t = now;
+    primed = true;
+  }
+  set.append(idx, now, v);
+}
+
 }  // namespace optsync::telemetry

@@ -17,11 +17,12 @@
 //     offline plotting ({"schema":"optsync-timeseries/1", ...}).
 //
 // The set is substrate-agnostic: the sim-clock Sampler and the wall-clock
-// RtSampler both feed it.
+// RtSampler both feed it, through the same Probe type.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -95,6 +96,24 @@ class SeriesSet {
   std::vector<Series> all_;
   /// HELP strings keyed by RAW metric name (sanitized on output).
   std::vector<std::pair<std::string, std::string>> help_;
+};
+
+/// One registered sampler probe. A gauge's callback IS the sample (backlog
+/// depth, queue length); a rate's callback is a monotone counter and the
+/// sample is its per-second increase since the previous sample
+/// (retransmits/s, goodput). A rate's first sample primes the counter and
+/// records 0, and so does a zero-length interval (never a division by
+/// zero).
+struct Probe {
+  std::size_t idx = 0;  ///< series index in the SeriesSet
+  std::function<double()> fn;
+  bool rate = false;
+  bool primed = false;
+  double prev = 0.0;
+  sim::Time prev_t = 0;
+
+  /// Reads the callback and appends the sample at time `now` to `set`.
+  void sample(SeriesSet& set, sim::Time now);
 };
 
 }  // namespace optsync::telemetry

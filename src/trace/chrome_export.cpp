@@ -11,6 +11,9 @@ namespace optsync::trace {
 namespace {
 
 using stats::JsonWriter;
+using telemetry::Journal;
+using Kind = Journal::Kind;
+using Event = Journal::Event;
 
 double to_us(sim::Time t) { return static_cast<double>(t) / 1000.0; }
 
@@ -25,24 +28,14 @@ void common_fields(JsonWriter& w, const Event& e, std::string_view ph,
 }
 
 void write_args(JsonWriter& w, const Event& e) {
-  w.begin_object("args")
-      .value("kind", event_kind_name(e.kind))
-      .value("label", e.label)
-      .value("group", e.group)
-      .value("var", e.var)
-      .value("seq", e.seq)
-      .value("value", e.value);
-  if (e.origin != ~0u) w.value("origin", e.origin);
+  w.begin_object("args").value("kind", Journal::kind_name(e.kind));
+  Journal::write_fields(w, e);
   w.end_object();
 }
 
 }  // namespace
 
-void write_chrome_trace(std::ostream& out, const Recorder& rec) {
-  write_chrome_trace(out, rec, nullptr);
-}
-
-void write_chrome_trace(std::ostream& out, const Recorder& rec,
+void write_chrome_trace(std::ostream& out, const Journal& journal,
                         const telemetry::Tracer* tracer) {
   JsonWriter w(out);
   w.begin_object();
@@ -51,7 +44,7 @@ void write_chrome_trace(std::ostream& out, const Recorder& rec,
 
   // Thread-name metadata so Perfetto labels each row "node N".
   std::set<std::uint32_t> nodes;
-  rec.for_each([&](const Event& e) { nodes.insert(e.node); });
+  for (const Event& e : journal.events()) nodes.insert(e.node);
   w.begin_object()
       .value("name", "process_name")
       .value("ph", "M")
@@ -72,29 +65,29 @@ void write_chrome_trace(std::ostream& out, const Recorder& rec,
         .end_object();
   }
 
-  rec.for_each([&](const Event& e) {
+  for (const Event& e : journal.events()) {
     w.begin_object();
     switch (e.kind) {
       // Duration slices: a hold span opens at acquire and closes at
       // release; a speculative window opens at speculate-begin and closes
       // at commit or rollback. Perfetto renders an unmatched B (a span
-      // that fell off the ring, or was cut by simulation end) as an
-      // unfinished slice, which is the honest picture.
-      case EventKind::kLockAcquire:
+      // cut by simulation end, or whose close came after the pool filled)
+      // as an unfinished slice, which is the honest picture.
+      case Kind::kLockAcquire:
         common_fields(w, e, "B", "hold", "lock");
         write_args(w, e);
         break;
-      case EventKind::kLockRelease:
+      case Kind::kLockRelease:
         common_fields(w, e, "E", "hold", "lock");
         break;
-      case EventKind::kSpeculateBegin:
+      case Kind::kSpeculateBegin:
         common_fields(w, e, "B", "speculate", "mutex");
         write_args(w, e);
         break;
-      case EventKind::kSpeculateCommit:
+      case Kind::kSpeculateCommit:
         common_fields(w, e, "E", "speculate", "mutex");
         break;
-      case EventKind::kRollback:
+      case Kind::kRollback:
         // Close the speculative window, then drop an instant marker so the
         // rollback stands out even when zoomed far out.
         common_fields(w, e, "E", "speculate", "mutex");
@@ -106,15 +99,15 @@ void write_chrome_trace(std::ostream& out, const Recorder& rec,
         break;
       default: {
         const char* cat = "dsm";
-        if (e.kind == EventKind::kSchedDispatch) cat = "sched";
-        if (e.kind == EventKind::kNetDeliver) cat = "net";
-        common_fields(w, e, "i", event_kind_name(e.kind), cat);
+        if (e.kind == Kind::kNetDeliver) cat = "net";
+        if (!Journal::is_protocol(e.kind)) cat = "decision";
+        common_fields(w, e, "i", Journal::kind_name(e.kind), cat);
         w.value("s", "t");
         write_args(w, e);
       }
     }
     w.end_object();
-  });
+  }
 
   if (tracer != nullptr) {
     // Causal spans as async begin/end pairs: one async track per trace id,
@@ -150,11 +143,11 @@ void write_chrome_trace(std::ostream& out, const Recorder& rec,
   }
 
   w.end_array();
-  // Ring accounting: lets a reader see whether the trace is the whole run
-  // or only the most recent capacity() events.
+  // Pool accounting: lets a reader see whether the trace is the whole run
+  // or only its first capacity() records.
   w.begin_object("otherData")
-      .value("events_recorded", rec.total_recorded())
-      .value("events_dropped_by_ring", rec.dropped())
+      .value("events_retained", static_cast<std::uint64_t>(journal.size()))
+      .value("events_dropped", journal.dropped())
       .end_object();
   w.end_object();
   out << "\n";

@@ -6,9 +6,22 @@
 
 namespace optsync::trace {
 
-void GwcChecker::install(Recorder& rec) {
-  rec.add_sink([this](const Event& e) { on_event(e); });
+using Event = telemetry::Journal::Event;
+using Kind = telemetry::Journal::Kind;
+
+void GwcChecker::install(telemetry::Journal& journal) {
+  journal.add_sink([this](const Event& e) { on_event(e); });
 }
+
+GwcAudit::GwcAudit(dsm::DsmConfig& cfg)
+    : journal_(cfg.journal != nullptr ? cfg.journal : &local_),
+      sink_(journal_->add_sink([this](const Event& e) {
+        checker_.on_event(e);
+      })) {
+  cfg.journal = journal_;
+}
+
+GwcAudit::~GwcAudit() { journal_->remove_sink(sink_); }
 
 void GwcChecker::violation(std::string msg) {
   // Cap retention: a systemic failure would otherwise flood memory with
@@ -18,7 +31,7 @@ void GwcChecker::violation(std::string msg) {
 
 void GwcChecker::on_event(const Event& e) {
   switch (e.kind) {
-    case EventKind::kRootSequence: {
+    case Kind::kRootSequence: {
       GroupState& g = groups_[e.group];
       Sequenced s;
       s.var = e.var;
@@ -60,7 +73,7 @@ void GwcChecker::on_event(const Event& e) {
       break;
     }
 
-    case EventKind::kNodeApply: {
+    case Kind::kNodeApply: {
       GroupState& g = groups_[e.group];
       writes_checked_ += 1;
       const std::uint64_t last = g.last_applied[e.node];  // 0 = none yet

@@ -3,7 +3,8 @@
 // GWC's contract (paper §2.2): every member of a group observes all writes
 // to the group's variables in one total order — the root's sequence — and
 // speculative writes by non-holders never become visible. The checker
-// replays the flight-recorder stream and proves both properties for a run:
+// replays the protocol records of the event stream (telemetry::Journal) and
+// proves both properties for a run:
 //
 //   1. Total order: each member applies sequenced writes in strictly
 //      increasing sequence order, and what it applies (variable, value)
@@ -18,7 +19,8 @@
 //      (tracked from the sequenced lock-word values themselves).
 //
 // Attach with install(): the checker registers a streaming sink on the
-// recorder, so it sees every event even if the ring later evicts it.
+// journal, so it sees every record whether or not the pool retains it.
+// GwcAudit below is the one way a run wires a checker to its DsmConfig.
 #pragma once
 
 #include <cstdint>
@@ -26,17 +28,23 @@
 #include <string>
 #include <vector>
 
-#include "trace/recorder.hpp"
+#include "telemetry/journal.hpp"
+
+namespace optsync::dsm {
+struct DsmConfig;
+}
 
 namespace optsync::trace {
 
 class GwcChecker {
  public:
-  /// Registers this checker as a sink on `rec`. The checker must outlive
-  /// the recorder's use.
-  void install(Recorder& rec);
+  using Event = telemetry::Journal::Event;
 
-  /// Feeds one event (install() wires this up automatically).
+  /// Registers this checker as a sink on `journal`. The checker must
+  /// outlive the journal's use.
+  void install(telemetry::Journal& journal);
+
+  /// Feeds one record (install() wires this up automatically).
   void on_event(const Event& e);
 
   [[nodiscard]] bool ok() const { return violations_.empty(); }
@@ -70,6 +78,29 @@ class GwcChecker {
   std::map<std::uint32_t, GroupState> groups_;
   std::vector<std::string> violations_;
   std::uint64_t writes_checked_ = 0;
+};
+
+/// A GwcChecker riding on a run's event stream: the one way a run attaches
+/// one. Installs the checker as a sink on the journal `cfg` already
+/// carries, so a --journal-out or --trace-out journal keeps its records;
+/// when none is attached it attaches a sink-only journal of its own.
+/// Construct after everything else that sets `cfg.journal` and before the
+/// DsmSystem it audits; destruction removes the sink, so a journal shared
+/// by several runs feeds each run's audit only.
+class GwcAudit {
+ public:
+  explicit GwcAudit(dsm::DsmConfig& cfg);
+  ~GwcAudit();
+  GwcAudit(const GwcAudit&) = delete;
+  GwcAudit& operator=(const GwcAudit&) = delete;
+
+  [[nodiscard]] const GwcChecker& checker() const { return checker_; }
+
+ private:
+  telemetry::Journal local_{0};
+  telemetry::Journal* journal_;
+  GwcChecker checker_;
+  std::uint64_t sink_;
 };
 
 }  // namespace optsync::trace

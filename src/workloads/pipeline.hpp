@@ -58,7 +58,7 @@ struct PipelineParams {
   net::NodeId group_root = 0;
 
   /// Substrate config for the GWC variants (coalescing, reliability, the
-  /// recorder). kNoDelay overrides the link/root costs on a copy; kEntry
+  /// journal). kNoDelay overrides the link/root costs on a copy; kEntry
   /// ignores it entirely.
   dsm::DsmConfig dsm;
 };

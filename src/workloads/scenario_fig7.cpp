@@ -60,11 +60,12 @@ Fig7Result run_scenario_fig7(const Fig7Params& p) {
 
   // Capture the message-level interaction.
   std::ostringstream trace;
-  sys.network().set_trace_hook([&trace, &sched](const net::MessageTrace& m) {
-    trace << "[" << sim::format_time(sched.now()) << "] n" << m.src << " -> n"
-          << m.dst << "  " << m.tag << " (" << m.bytes << "B, sent "
-          << sim::format_time(m.sent_at) << ")\n";
-  });
+  sys.network().add_trace_observer(
+      [&trace, &sched](const net::MessageTrace& m) {
+        trace << "[" << sim::format_time(sched.now()) << "] n" << m.src
+              << " -> n" << m.dst << "  " << m.tag << " (" << m.bytes
+              << "B, sent " << sim::format_time(m.sent_at) << ")\n";
+      });
 
   core::ExecuteStats near_stats;
   core::ExecuteStats far_stats;

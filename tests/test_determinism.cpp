@@ -46,6 +46,7 @@
 #include "stats/service_report.hpp"
 #include "telemetry/journal.hpp"
 #include "telemetry/tracer.hpp"
+#include "trace/gwc_checker.hpp"
 
 namespace optsync {
 namespace {
@@ -312,6 +313,9 @@ struct DriverParams {
   /// Range map plus one hot group: a key is promoted and demoted while
   /// transactions (OCC and irrevocable) run against it.
   bool elastic = false;
+  /// A GwcChecker rides on the journal as a sink. Observing the stream must
+  /// not move the digest, and the checker must stay clean.
+  bool gwc_audit = false;
 };
 
 // A contended mix of all three transaction classes (puts, adds, reads) plus
@@ -326,6 +330,8 @@ Run txn_driver_fingerprint(std::uint64_t seed, const DriverParams& p) {
   dsm::DsmConfig dcfg;
   dcfg.tracer = &tracer;
   dcfg.journal = &journal;
+  std::optional<trace::GwcAudit> audit;
+  if (p.gwc_audit) audit.emplace(dcfg);
   const auto topo = net::MeshTorus2D::near_square(8);
   dsm::DsmSystem sys(sched, topo, dcfg);
   for (dsm::NodeId n = 0; n < static_cast<dsm::NodeId>(topo.size()); ++n) {
@@ -440,6 +446,10 @@ Run txn_driver_fingerprint(std::uint64_t seed, const DriverParams& p) {
   store.fill_report(report);
   EXPECT_TRUE(report.serializable());
   EXPECT_TRUE(store.replicas_converged());
+  if (audit) {
+    EXPECT_TRUE(audit->checker().ok()) << audit->checker().report();
+    EXPECT_GT(audit->checker().writes_checked(), 0u);
+  }
 
   Fingerprint f;
   f.open()
@@ -594,6 +604,10 @@ TEST(Determinism, TxnDriverClassesMatchGolden) {
   elastic.elastic = true;
   check_stage("driver_elastic", 5,
               [&] { return txn_driver_fingerprint(5, elastic); });
+  DriverParams audited = elastic;
+  audited.gwc_audit = true;
+  check_stage("driver_elastic", 5,
+              [&] { return txn_driver_fingerprint(5, audited); });
   elastic.mode = shard::TxnMode::kLegacy;
   check_stage("driver_elastic_legacy", 5,
               [&] { return txn_driver_fingerprint(5, elastic); });

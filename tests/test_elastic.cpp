@@ -24,7 +24,6 @@
 #include "telemetry/sampler.hpp"
 #include "telemetry/series.hpp"
 #include "trace/gwc_checker.hpp"
-#include "trace/recorder.hpp"
 
 namespace optsync {
 namespace {
@@ -193,11 +192,9 @@ void expect_ledgers_exact(Fixture& f) {
 // ----------------------------------------------------- root migration ---
 
 TEST(RootMigration, SequencedStreamContinuesAcrossTheCut) {
-  trace::Recorder rec(1 << 10);
-  trace::GwcChecker checker;
-  checker.install(rec);
   dsm::DsmConfig dcfg;
-  dcfg.recorder = &rec;
+  const trace::GwcAudit audit(dcfg);
+  const trace::GwcChecker& checker = audit.checker();
   Fixture f(elastic_cfg(), 8, dcfg);
   elastic::RootMigrator mig(f.store);
 

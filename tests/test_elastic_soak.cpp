@@ -20,7 +20,6 @@
 #include "shard/sharded_store.hpp"
 #include "simkern/coro.hpp"
 #include "trace/gwc_checker.hpp"
-#include "trace/recorder.hpp"
 
 namespace optsync {
 namespace {
@@ -36,12 +35,6 @@ faults::FaultPlan elastic_attack(std::uint64_t seed) {
   if (a != b) plan.partition_link(a, b, 20'000, 200'000);
   return plan;
 }
-
-struct GwcAudit {
-  trace::Recorder recorder{1 << 10};
-  trace::GwcChecker checker;
-  GwcAudit() { checker.install(recorder); }
-};
 
 /// The scripted reconfiguration storm, serialized in one coroutine so at
 /// most one directory mutation is in flight (the controller's own rule):
@@ -71,10 +64,9 @@ TEST_P(ElasticFaultSoak, ReconfigurationsSurviveDropsAndPartitions) {
   const std::uint64_t seed = GetParam();
   sim::Scheduler sched;
   const net::MeshTorus2D topo = net::MeshTorus2D::near_square(8);
-  GwcAudit audit;
   dsm::DsmConfig cfg;
   cfg.faults = elastic_attack(seed);
-  cfg.recorder = &audit.recorder;
+  const trace::GwcAudit audit(cfg);
   dsm::DsmSystem sys(sched, topo, cfg);
   ASSERT_TRUE(sys.reliable_transport());
 
@@ -130,8 +122,8 @@ TEST_P(ElasticFaultSoak, ReconfigurationsSurviveDropsAndPartitions) {
   }
   EXPECT_TRUE(store.replicas_converged()) << "seed " << seed;
   // Invariant 1 across every cut: gapless, identical, no speculation.
-  EXPECT_TRUE(audit.checker.ok()) << audit.checker.report();
-  EXPECT_GT(audit.checker.writes_checked(), 0u);
+  EXPECT_TRUE(audit.checker().ok()) << audit.checker().report();
+  EXPECT_GT(audit.checker().writes_checked(), 0u);
   EXPECT_GT(report.faults.drops_injected, 0u) << "seed " << seed;
 }
 
@@ -164,10 +156,9 @@ TEST_P(ElasticLeaseSoak, LeasedReadsStayEpochCleanAcrossMoves) {
   const std::uint64_t seed = GetParam();
   sim::Scheduler sched;
   const net::MeshTorus2D topo = net::MeshTorus2D::near_square(8);
-  GwcAudit audit;
   dsm::DsmConfig cfg;
   cfg.faults = elastic_attack(seed);
-  cfg.recorder = &audit.recorder;
+  const trace::GwcAudit audit(cfg);
   dsm::DsmSystem sys(sched, topo, cfg);
 
   shard::ShardedStoreConfig scfg;
@@ -213,7 +204,7 @@ TEST_P(ElasticLeaseSoak, LeasedReadsStayEpochCleanAcrossMoves) {
         << "shard " << s << " seed " << seed;
   }
   EXPECT_TRUE(store.replicas_converged()) << "seed " << seed;
-  EXPECT_TRUE(audit.checker.ok()) << audit.checker.report();
+  EXPECT_TRUE(audit.checker().ok()) << audit.checker().report();
   ASSERT_NE(store.leases(), nullptr);
   EXPECT_TRUE(store.leases()->auditor().ok())
       << store.leases()->auditor().report();

@@ -4,7 +4,7 @@
 // channel is the mechanism under test, the existing property suites are the
 // oracle. Seed ranges are disjoint per suite; together they cover well over
 // 100 distinct fault schedules. Every parameterized run additionally streams
-// its flight-recorder events through the GWC invariant checker, which proves
+// its protocol records through the GWC invariant checker, which proves
 // the total-order and no-speculative-visibility properties independently of
 // each suite's own assertions.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "faults/fault_plan.hpp"
 #include "simkern/random.hpp"
 #include "trace/gwc_checker.hpp"
-#include "trace/recorder.hpp"
 #include "workloads/counter.hpp"
 #include "workloads/scenario_fig7.hpp"
 
@@ -35,14 +34,6 @@ faults::FaultPlan standard_attack(std::uint64_t seed) {
   return plan;
 }
 
-/// Recorder + checker pair for one soak run. A tiny ring suffices: the
-/// checker is a streaming sink and sees every event before eviction.
-struct GwcAudit {
-  trace::Recorder recorder{1 << 10};
-  trace::GwcChecker checker;
-  GwcAudit() { checker.install(recorder); }
-};
-
 class GwcFaultSoak : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Mirror of GwcTotalOrder.AllMembersApplySameSequence, run over a lossy
@@ -51,10 +42,9 @@ TEST_P(GwcFaultSoak, TotalOrderSurvivesLossDupAndReorder) {
   const std::uint64_t seed = GetParam();
   sim::Scheduler sched;
   const net::Ring topo(6);
-  GwcAudit audit;
   dsm::DsmConfig cfg;
   cfg.faults = standard_attack(seed);
-  cfg.recorder = &audit.recorder;
+  const trace::GwcAudit audit(cfg);
   dsm::DsmSystem sys(sched, topo, cfg);
   ASSERT_TRUE(sys.reliable_transport());  // faults imply the reliable layer
 
@@ -103,9 +93,9 @@ TEST_P(GwcFaultSoak, TotalOrderSurvivesLossDupAndReorder) {
     const dsm::Word expect = sys.node(members[0]).read(v);
     for (const net::NodeId m : members) EXPECT_EQ(sys.node(m).read(v), expect);
   }
-  EXPECT_TRUE(audit.checker.ok()) << "seed " << seed << ": "
-                                  << audit.checker.report();
-  EXPECT_GT(audit.checker.writes_checked(), 0u);
+  EXPECT_TRUE(audit.checker().ok()) << "seed " << seed << ": "
+                                    << audit.checker().report();
+  EXPECT_GT(audit.checker().writes_checked(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GwcFaultSoak,
@@ -124,16 +114,15 @@ TEST_P(CounterFaultSoak, EveryIncrementAppliedExactlyOnce) {
   p.think_mean_ns = 20'000;  // contended: speculation and queuing both occur
   p.seed = seed;
   p.dsm.faults = standard_attack(seed);
-  GwcAudit audit;
-  p.dsm.recorder = &audit.recorder;
+  const trace::GwcAudit audit(p.dsm);
   const auto method = seed % 2 == 0 ? workloads::CounterMethod::kOptimisticGwc
                                     : workloads::CounterMethod::kRegularGwc;
   const auto res = workloads::run_counter(method, p, topo);
   EXPECT_EQ(res.final_count, res.expected_count) << "seed " << seed;
   EXPECT_EQ(res.faults.expirations, 0u);
-  EXPECT_TRUE(audit.checker.ok()) << "seed " << seed << ": "
-                                  << audit.checker.report();
-  EXPECT_GT(audit.checker.writes_checked(), 0u);
+  EXPECT_TRUE(audit.checker().ok()) << "seed " << seed << ": "
+                                    << audit.checker().report();
+  EXPECT_GT(audit.checker().writes_checked(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CounterFaultSoak,
@@ -147,13 +136,12 @@ class Fig7FaultSoak : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(Fig7FaultSoak, RollbackInteractionStaysCorrect) {
   workloads::Fig7Params p;
   p.dsm.faults = standard_attack(GetParam());
-  GwcAudit audit;
-  p.dsm.recorder = &audit.recorder;
+  const trace::GwcAudit audit(p.dsm);
   const auto res = workloads::run_scenario_fig7(p);
   EXPECT_EQ(res.final_a, res.expected_a) << "seed " << GetParam();
-  EXPECT_TRUE(audit.checker.ok()) << "seed " << GetParam() << ": "
-                                  << audit.checker.report();
-  EXPECT_GT(audit.checker.writes_checked(), 0u);
+  EXPECT_TRUE(audit.checker().ok()) << "seed " << GetParam() << ": "
+                                    << audit.checker().report();
+  EXPECT_GT(audit.checker().writes_checked(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Fig7FaultSoak,
@@ -178,17 +166,16 @@ TEST_P(CoalescedFaultSoak, CounterStaysExactAtEveryBatchSize) {
   p.dsm.faults = standard_attack(seed);
   p.dsm.coalesce_max_writes = batch;
   if (batch > 1) p.dsm.reliable.ack_delay_ns = 4'000;
-  GwcAudit audit;
-  p.dsm.recorder = &audit.recorder;
+  const trace::GwcAudit audit(p.dsm);
   const auto method = seed % 2 == 0 ? workloads::CounterMethod::kOptimisticGwc
                                     : workloads::CounterMethod::kRegularGwc;
   const auto res = workloads::run_counter(method, p, topo);
   EXPECT_EQ(res.final_count, res.expected_count)
       << "batch " << batch << " seed " << seed;
   EXPECT_EQ(res.faults.expirations, 0u);
-  EXPECT_TRUE(audit.checker.ok()) << "batch " << batch << " seed " << seed
-                                  << ": " << audit.checker.report();
-  EXPECT_GT(audit.checker.writes_checked(), 0u);
+  EXPECT_TRUE(audit.checker().ok()) << "batch " << batch << " seed " << seed
+                                    << ": " << audit.checker().report();
+  EXPECT_GT(audit.checker().writes_checked(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -159,7 +159,8 @@ TEST(FaultInjector, DropsAreCountedAndNeverDelivered) {
   FaultInjector inj(net, plan);
 
   std::vector<net::MessageTrace> traces;
-  net.set_trace_hook([&](const net::MessageTrace& t) { traces.push_back(t); });
+  net.add_trace_observer(
+      [&](const net::MessageTrace& t) { traces.push_back(t); });
 
   int doomed = 0;
   int safe = 0;
@@ -187,7 +188,7 @@ TEST(FaultInjector, DuplicatesDeliverTwiceAndAreCounted) {
   FaultInjector inj(net, plan);
 
   std::vector<net::DeliveryKind> kinds;
-  net.set_trace_hook(
+  net.add_trace_observer(
       [&](const net::MessageTrace& t) { kinds.push_back(t.kind); });
 
   int delivered = 0;

@@ -20,7 +20,6 @@
 #include "simkern/coro.hpp"
 #include "sync/gwc_lock.hpp"
 #include "trace/gwc_checker.hpp"
-#include "trace/recorder.hpp"
 
 namespace optsync::dsm {
 namespace {
@@ -138,12 +137,12 @@ ContendedRun run_contended(std::uint32_t batch) {
   ContendedRun out;
   sim::Scheduler sched;
   net::FullyConnected topo(3);
-  trace::Recorder rec(1 << 16);
+  telemetry::Journal journal(1 << 16, /*keep_protocol=*/true);
   trace::GwcChecker checker;
-  checker.install(rec);
+  checker.install(journal);
   DsmConfig cfg;
   cfg.coalesce_max_writes = batch;
-  cfg.recorder = &rec;
+  cfg.journal = &journal;
   DsmSystem sys(sched, topo, cfg);
   const GroupId g = sys.create_group({0, 1, 2}, 0);
   const VarId lock = sys.define_lock("l", g);
@@ -181,14 +180,14 @@ ContendedRun run_contended(std::uint32_t batch) {
   // in the same frame as the releaser's final writes.
   std::map<std::uint64_t, std::string_view> label_by_seq;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
-  rec.for_each([&](const trace::Event& e) {
-    if (e.kind == trace::EventKind::kRootSequence) {
+  for (const auto& e : journal.events()) {
+    if (e.kind == telemetry::Journal::Kind::kRootSequence) {
       label_by_seq[e.seq] = e.label;
-    } else if (e.kind == trace::EventKind::kFrameFlush) {
+    } else if (e.kind == telemetry::Journal::Kind::kFrameFlush) {
       ranges.emplace_back(e.seq,
                           e.seq + static_cast<std::uint64_t>(e.value) - 1);
     }
-  });
+  }
   for (const auto& [first, last] : ranges) {
     bool has_lock = false, has_data = false;
     for (std::uint64_t s = first; s <= last; ++s) {
@@ -252,14 +251,12 @@ TEST(RootCoalescing, PartialFrameLossRecoversToIdenticalStreams) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     sim::Scheduler sched;
     net::Ring topo(6);
-    trace::Recorder rec(1 << 10);
-    trace::GwcChecker checker;
-    checker.install(rec);
     DsmConfig cfg;
     cfg.coalesce_max_writes = 8;
     cfg.faults = faults::FaultPlan(seed);
     cfg.faults.drop(0.25, "data-down").duplicate(0.05).delay(0.10, 3'000);
-    cfg.recorder = &rec;
+    const trace::GwcAudit audit(cfg);
+    const trace::GwcChecker& checker = audit.checker();
     DsmSystem sys(sched, topo, cfg);
     ASSERT_TRUE(sys.reliable_transport());
 

@@ -1,12 +1,15 @@
-// Decision-journal unit tests: typed appends, the bounded pool's drop
-// accounting, and the optsync-journal/1 JSON document — round-tripped
-// through the stats JSON parser dsm_inspect reads it back with.
+// Event-stream unit tests: typed decision appends, protocol records and
+// their retention setting, sinks, the bounded pool's drop accounting, and
+// the optsync-journal/1 JSON document — round-tripped through the stats
+// JSON parser dsm_inspect reads it back with.
 #include "telemetry/journal.hpp"
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "stats/json_parse.hpp"
 
@@ -40,7 +43,7 @@ TEST(Journal, TypedAppendsLandWithKindAndFields) {
   const auto& expiry = j.events()[2];
   EXPECT_EQ(expiry.epoch_old, expiry.epoch_new);
   const auto& decision = j.events()[3];
-  EXPECT_STREQ(decision.step, "promote");
+  EXPECT_EQ(decision.label, "promote");
   EXPECT_EQ(decision.target, 4u);
   EXPECT_EQ(decision.streak, 2u);
 }
@@ -60,6 +63,105 @@ TEST(Journal, PoolDropsAtCapacityWithoutPerturbingContents) {
   EXPECT_EQ(j.events().back().node, 3u);
 }
 
+Journal::Event protocol_record(Journal::Kind kind, sim::Time t = 0) {
+  Journal::Event e;
+  e.kind = kind;
+  e.t = t;
+  return e;
+}
+
+TEST(Journal, ProtocolRecordsRetainInOrderAndCount) {
+  Journal j(/*capacity=*/8, /*keep_protocol=*/true);
+  for (int i = 0; i < 5; ++i) {
+    j.record(protocol_record(Journal::Kind::kNodeApply,
+                             static_cast<sim::Time>(i)));
+  }
+  EXPECT_EQ(j.size(), 5u);
+  EXPECT_EQ(j.dropped(), 0u);
+  EXPECT_EQ(j.count(Journal::Kind::kNodeApply), 5u);
+  EXPECT_EQ(j.count(Journal::Kind::kRollback), 0u);
+  sim::Time expect = 0;
+  for (const auto& e : j.events()) EXPECT_EQ(e.t, expect++);
+}
+
+TEST(Journal, ProtocolRecordsDropAtCapacityKeepingTheFirst) {
+  Journal j(/*capacity=*/4, /*keep_protocol=*/true);
+  for (int i = 0; i < 10; ++i) {
+    j.record(protocol_record(Journal::Kind::kNetDeliver,
+                             static_cast<sim::Time>(i)));
+  }
+  EXPECT_EQ(j.size(), 4u);
+  EXPECT_EQ(j.capacity(), 4u);
+  EXPECT_EQ(j.dropped(), 6u);
+  std::vector<sim::Time> times;
+  for (const auto& e : j.events()) times.push_back(e.t);
+  EXPECT_EQ(times, (std::vector<sim::Time>{0, 1, 2, 3}));
+}
+
+TEST(Journal, SinksSeeEveryRecordPastCapacity) {
+  Journal j(/*capacity=*/2, /*keep_protocol=*/true);
+  std::uint64_t seen = 0;
+  const auto sink = j.add_sink([&seen](const Journal::Event&) { ++seen; });
+  for (int i = 0; i < 100; ++i) {
+    j.record(protocol_record(Journal::Kind::kRollback));
+  }
+  j.txn_abort(1, AbortReason::kReadSetClobber, 0, 0, 0, 0, 0);
+  EXPECT_EQ(seen, 101u);
+  EXPECT_EQ(j.size(), 2u);
+  EXPECT_EQ(j.dropped(), 99u);
+  // A removed sink sees nothing further.
+  j.remove_sink(sink);
+  j.record(protocol_record(Journal::Kind::kRollback));
+  EXPECT_EQ(seen, 101u);
+}
+
+TEST(Journal, DecisionOnlyJournalPassesProtocolRecordsToSinksOnly) {
+  Journal j(/*capacity=*/8);
+  std::vector<Journal::Kind> seen;
+  j.add_sink([&seen](const Journal::Event& e) { seen.push_back(e.kind); });
+  j.record(protocol_record(Journal::Kind::kRootSequence));
+  j.record(protocol_record(Journal::Kind::kNodeApply));
+  j.lease_expiry(5, 1, 0, 2, 3);
+  // The sink saw all three; the pool kept only the decision record, and
+  // skipping a protocol record is not a drop.
+  EXPECT_EQ(seen, (std::vector<Journal::Kind>{Journal::Kind::kRootSequence,
+                                              Journal::Kind::kNodeApply,
+                                              Journal::Kind::kLeaseExpiry}));
+  ASSERT_EQ(j.size(), 1u);
+  EXPECT_EQ(j.events()[0].kind, Journal::Kind::kLeaseExpiry);
+  EXPECT_EQ(j.dropped(), 0u);
+}
+
+TEST(Journal, WriteJsonEmitsOnlyDecisionKinds) {
+  Journal j(/*capacity=*/16, /*keep_protocol=*/true);
+  j.record(protocol_record(Journal::Kind::kLockAcquire, 1));
+  j.txn_abort(2, AbortReason::kCommitValidation, 3, 1, 7, 9, 2);
+  j.record(protocol_record(Journal::Kind::kSpeculateBegin, 3));
+  j.lease_grant(4, 4, 0, 5, 10, 11);
+  j.record(protocol_record(Journal::Kind::kFrameFlush, 5));
+  ASSERT_EQ(j.size(), 5u);
+  std::ostringstream out;
+  EXPECT_EQ(j.write_json(out), 2u);
+
+  const auto parsed = stats::parse_json(out.str());
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  const auto& events = parsed.value["events"];
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0]["kind"].as_string(), "txn_abort");
+  EXPECT_EQ(events[1]["kind"].as_string(), "lease_grant");
+}
+
+TEST(Journal, EveryKindHasADistinctName) {
+  std::set<std::string> names;
+  const int last = static_cast<int>(Journal::kLastKind);
+  for (int k = 0; k <= last; ++k) {
+    const std::string name = Journal::kind_name(static_cast<Journal::Kind>(k));
+    EXPECT_NE(name, "unknown") << "kind " << k;
+    names.insert(name);
+  }
+  EXPECT_EQ(names.size(), static_cast<std::size_t>(last + 1));
+}
+
 TEST(Journal, NamesAreStableStrings) {
   EXPECT_STREQ(abort_reason_name(AbortReason::kReadSetClobber),
                "read_set_clobber");
@@ -72,6 +174,9 @@ TEST(Journal, NamesAreStableStrings) {
   EXPECT_STREQ(Journal::kind_name(Journal::Kind::kTxnAbort), "txn_abort");
   EXPECT_STREQ(Journal::kind_name(Journal::Kind::kElasticDecision),
                "elastic_decision");
+  EXPECT_STREQ(Journal::kind_name(Journal::Kind::kNetDeliver), "net_deliver");
+  EXPECT_STREQ(Journal::kind_name(Journal::Kind::kRollback), "rollback");
+  EXPECT_STREQ(Journal::kind_name(Journal::Kind::kFrameFlush), "frame_flush");
 }
 
 TEST(Journal, JsonRoundTripsThroughTheParser) {

@@ -28,7 +28,6 @@
 #include "shard/lease.hpp"
 #include "shard/sharded_store.hpp"
 #include "trace/gwc_checker.hpp"
-#include "trace/recorder.hpp"
 
 namespace optsync {
 namespace {
@@ -46,12 +45,6 @@ faults::FaultPlan lease_attack(std::uint64_t seed) {
   if (a != b) plan.partition_link(a, b, 20'000, 220'000);
   return plan;
 }
-
-struct GwcAudit {
-  trace::Recorder recorder{1 << 10};
-  trace::GwcChecker checker;
-  GwcAudit() { checker.install(recorder); }
-};
 
 // Aggregated across the whole suite so the exercised-tier assertions can
 // live in one place (any single seed may legitimately see few leases).
@@ -80,10 +73,9 @@ TEST_P(LeaseFaultSoak, StalenessBoundHoldsUnderDropAndPartition) {
   const std::uint64_t seed = GetParam();
   sim::Scheduler sched;
   const net::MeshTorus2D topo = net::MeshTorus2D::near_square(8);
-  GwcAudit audit;
   dsm::DsmConfig cfg;
   cfg.faults = lease_attack(seed);
-  cfg.recorder = &audit.recorder;
+  const trace::GwcAudit audit(cfg);
   dsm::DsmSystem sys(sched, topo, cfg);
   ASSERT_TRUE(sys.reliable_transport());
 
@@ -124,8 +116,8 @@ TEST_P(LeaseFaultSoak, StalenessBoundHoldsUnderDropAndPartition) {
 
   const auto& auditor = store.leases()->auditor();
   EXPECT_TRUE(auditor.ok()) << "seed " << seed << ": " << auditor.report();
-  EXPECT_TRUE(audit.checker.ok()) << audit.checker.report();
-  EXPECT_GT(audit.checker.writes_checked(), 0u);
+  EXPECT_TRUE(audit.checker().ok()) << audit.checker().report();
+  EXPECT_GT(audit.checker().writes_checked(), 0u);
   for (shard::ShardId s = 0; s < scfg.shards; ++s) {
     EXPECT_EQ(store.version(s),
               static_cast<dsm::Word>(store.committed_writes(s)))

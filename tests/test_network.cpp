@@ -84,7 +84,8 @@ TEST(Network, TraceHookSeesEveryDelivery) {
   const MeshTorus2D topo(2, 2);
   Network net(sched, topo, LinkModel::paper());
   std::vector<MessageTrace> traces;
-  net.set_trace_hook([&](const MessageTrace& t) { traces.push_back(t); });
+  net.add_trace_observer(
+      [&](const MessageTrace& t) { traces.push_back(t); });
   net.send(1, 2, 24, "hello", [] {});
   sched.run();
   ASSERT_EQ(traces.size(), 1u);

@@ -175,7 +175,7 @@ TEST(ReliableChannel, TraceDistinguishesRetransmitAndSuppression) {
     return act;
   });
   std::vector<DeliveryKind> kinds;
-  h.net.set_trace_hook(
+  h.net.add_trace_observer(
       [&kinds](const MessageTrace& t) { kinds.push_back(t.kind); });
   int delivered = 0;
   h.rel.send(0, 1, 1, 16, "m", [&] { ++delivered; });

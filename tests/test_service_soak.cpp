@@ -15,7 +15,6 @@
 #include "shard/client.hpp"
 #include "shard/sharded_store.hpp"
 #include "trace/gwc_checker.hpp"
-#include "trace/recorder.hpp"
 
 namespace optsync {
 namespace {
@@ -32,22 +31,15 @@ faults::FaultPlan service_attack(std::uint64_t seed) {
   return plan;
 }
 
-struct GwcAudit {
-  trace::Recorder recorder{1 << 10};
-  trace::GwcChecker checker;
-  GwcAudit() { checker.install(recorder); }
-};
-
 class ServiceFaultSoak : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ServiceFaultSoak, EveryShardSurvivesDropAndPartition) {
   const std::uint64_t seed = GetParam();
   sim::Scheduler sched;
   const net::MeshTorus2D topo = net::MeshTorus2D::near_square(8);
-  GwcAudit audit;
   dsm::DsmConfig cfg;
   cfg.faults = service_attack(seed);
-  cfg.recorder = &audit.recorder;
+  const trace::GwcAudit audit(cfg);
   dsm::DsmSystem sys(sched, topo, cfg);
   ASSERT_TRUE(sys.reliable_transport());
 
@@ -79,8 +71,8 @@ TEST_P(ServiceFaultSoak, EveryShardSurvivesDropAndPartition) {
   EXPECT_TRUE(store.replicas_converged()) << "seed " << seed;
   // Invariant 1, per shard group: the checker audited every applied write
   // across all four groups and found a gapless, identical total order.
-  EXPECT_TRUE(audit.checker.ok()) << audit.checker.report();
-  EXPECT_GT(audit.checker.writes_checked(), 0u);
+  EXPECT_TRUE(audit.checker().ok()) << audit.checker().report();
+  EXPECT_GT(audit.checker().writes_checked(), 0u);
   // The attack actually did something.
   EXPECT_GT(report.faults.drops_injected, 0u) << "seed " << seed;
 }

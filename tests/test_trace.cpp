@@ -1,10 +1,9 @@
-// Flight recorder, Chrome trace export, per-lock metrics, and the GWC
-// invariant checker — the observability layer end to end: unit behavior of
-// the ring/histogram/JSON pieces, then whole-scenario runs proving the
-// recorder captures the paper's figure-7 interaction and the checker
-// accepts real runs while rejecting doctored streams.
-#include "trace/recorder.hpp"
-
+// Chrome trace export, per-lock metrics, and the GWC invariant checker —
+// the observability layer end to end: unit behavior of the histogram/JSON
+// pieces, then whole-scenario runs proving the event stream captures the
+// paper's figure-7 interaction and the checker accepts real runs while
+// rejecting doctored streams. The journal itself is tested in
+// test_journal.cpp.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -15,6 +14,7 @@
 #include "stats/histogram.hpp"
 #include "stats/json.hpp"
 #include "stats/lock_stats.hpp"
+#include "telemetry/journal.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/gwc_checker.hpp"
 #include "workloads/counter.hpp"
@@ -23,72 +23,10 @@
 namespace optsync {
 namespace {
 
-using trace::Event;
-using trace::EventKind;
+using telemetry::Journal;
+using Event = Journal::Event;
+using Kind = Journal::Kind;
 using trace::GwcChecker;
-using trace::Recorder;
-
-Event make_event(EventKind kind, sim::Time t = 0) {
-  Event e;
-  e.kind = kind;
-  e.t = t;
-  return e;
-}
-
-// ------------------------------------------------------------- recorder ---
-
-TEST(Recorder, RetainsInOrderAndCounts) {
-  Recorder rec(8);
-  for (int i = 0; i < 5; ++i) {
-    rec.record(make_event(EventKind::kNodeApply, static_cast<sim::Time>(i)));
-  }
-  EXPECT_EQ(rec.size(), 5u);
-  EXPECT_EQ(rec.total_recorded(), 5u);
-  EXPECT_EQ(rec.dropped(), 0u);
-  EXPECT_EQ(rec.count(EventKind::kNodeApply), 5u);
-  EXPECT_EQ(rec.count(EventKind::kRollback), 0u);
-  sim::Time expect = 0;
-  rec.for_each([&expect](const Event& e) { EXPECT_EQ(e.t, expect++); });
-}
-
-TEST(Recorder, RingEvictsOldestWhenFull) {
-  Recorder rec(4);
-  for (int i = 0; i < 10; ++i) {
-    rec.record(make_event(EventKind::kNetDeliver, static_cast<sim::Time>(i)));
-  }
-  EXPECT_EQ(rec.size(), 4u);
-  EXPECT_EQ(rec.capacity(), 4u);
-  EXPECT_EQ(rec.total_recorded(), 10u);
-  EXPECT_EQ(rec.dropped(), 6u);
-  std::vector<sim::Time> times;
-  rec.for_each([&times](const Event& e) { times.push_back(e.t); });
-  EXPECT_EQ(times, (std::vector<sim::Time>{6, 7, 8, 9}));
-}
-
-TEST(Recorder, SinksSeeEveryEventDespiteEviction) {
-  Recorder rec(2);
-  std::uint64_t seen = 0;
-  rec.add_sink([&seen](const Event&) { ++seen; });
-  for (int i = 0; i < 100; ++i) rec.record(make_event(EventKind::kRollback));
-  EXPECT_EQ(seen, 100u);
-  EXPECT_EQ(rec.size(), 2u);
-}
-
-TEST(Recorder, ClearResetsRetentionAndCounters) {
-  Recorder rec(8);
-  rec.record(make_event(EventKind::kLockAcquire));
-  rec.clear();
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.total_recorded(), 0u);
-  EXPECT_EQ(rec.count(EventKind::kLockAcquire), 0u);
-}
-
-TEST(Recorder, EveryKindHasAName) {
-  for (int k = 0; k <= static_cast<int>(EventKind::kHistoryVeto); ++k) {
-    EXPECT_FALSE(
-        trace::event_kind_name(static_cast<EventKind>(k)).empty());
-  }
-}
 
 // ------------------------------------------------------------ histogram ---
 
@@ -268,36 +206,39 @@ TEST(LockStats, WritesWellFormedJson) {
 
 // -------------------------------------------------- scenario + exporter ---
 
-workloads::Fig7Result run_fig7_recorded(Recorder& rec,
+/// A journal that keeps protocol records, as a trace export builds it.
+Journal trace_journal() { return Journal(1 << 16, /*keep_protocol=*/true); }
+
+workloads::Fig7Result run_fig7_recorded(Journal& journal,
                                         GwcChecker* checker = nullptr) {
-  if (checker != nullptr) checker->install(rec);
+  if (checker != nullptr) checker->install(journal);
   workloads::Fig7Params p;
-  p.dsm.recorder = &rec;
+  p.dsm.journal = &journal;
   return workloads::run_scenario_fig7(p);
 }
 
 TEST(TraceIntegration, Fig7RecordsTheRollbackInteraction) {
-  Recorder rec;
-  const auto res = run_fig7_recorded(rec);
+  Journal journal = trace_journal();
+  const auto res = run_fig7_recorded(journal);
   ASSERT_EQ(res.final_a, res.expected_a);
-  // The figure's mechanisms, as flight-recorder events: both nodes see a
+  // The figure's mechanisms, as protocol records: both nodes see a
   // free lock and speculate, the near node's speculation commits, the far
   // node's rolls back, the root silently drops the stale write, and
   // hardware blocking eats the winner's own echo.
-  EXPECT_EQ(rec.count(EventKind::kSpeculateBegin), 2u);
-  EXPECT_EQ(rec.count(EventKind::kSpeculateCommit), 1u);
-  EXPECT_EQ(rec.count(EventKind::kRollback), 1u);
-  EXPECT_GE(rec.count(EventKind::kRootDropSpec), 1u);
-  EXPECT_GE(rec.count(EventKind::kEchoDrop), 1u);
-  EXPECT_EQ(rec.count(EventKind::kLockRequest), 2u);
-  EXPECT_EQ(rec.count(EventKind::kLockAcquire), 2u);
-  EXPECT_EQ(rec.count(EventKind::kLockRelease), 2u);
+  EXPECT_EQ(journal.count(Kind::kSpeculateBegin), 2u);
+  EXPECT_EQ(journal.count(Kind::kSpeculateCommit), 1u);
+  EXPECT_EQ(journal.count(Kind::kRollback), 1u);
+  EXPECT_GE(journal.count(Kind::kRootDropSpec), 1u);
+  EXPECT_GE(journal.count(Kind::kEchoDrop), 1u);
+  EXPECT_EQ(journal.count(Kind::kLockRequest), 2u);
+  EXPECT_EQ(journal.count(Kind::kLockAcquire), 2u);
+  EXPECT_EQ(journal.count(Kind::kLockRelease), 2u);
   // Event times are monotone non-decreasing (the stream is the sim clock).
   sim::Time last = 0;
-  rec.for_each([&last](const Event& e) {
+  for (const Event& e : journal.events()) {
     EXPECT_GE(e.t, last);
     last = e.t;
-  });
+  }
   // Per-lock record agrees with the scenario's own counters.
   EXPECT_EQ(res.lock_stats.rollbacks, 1u);
   EXPECT_EQ(res.lock_stats.acquisitions, 2u);
@@ -307,28 +248,9 @@ TEST(TraceIntegration, Fig7RecordsTheRollbackInteraction) {
   EXPECT_GT(res.lock_stats.acquire_ns.max(), 0);
 }
 
-TEST(TraceIntegration, ChromeExportIsBalancedAndLoadable) {
-  Recorder rec;
-  run_fig7_recorded(rec);
-  std::ostringstream out;
-  trace::write_chrome_trace(out, rec);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
-  EXPECT_NE(json.find("\"speculate\""), std::string::npos);
-  EXPECT_NE(json.find("\"rollback\""), std::string::npos);
-  // Spans must balance: equal numbers of begin and end events, and braces
-  // must nest (a cheap well-formedness proxy that catches truncation).
-  auto occurrences = [&json](const std::string& needle) {
-    std::size_t n = 0;
-    for (std::size_t at = json.find(needle); at != std::string::npos;
-         at = json.find(needle, at + 1)) {
-      ++n;
-    }
-    return n;
-  };
-  EXPECT_EQ(occurrences("\"ph\":\"B\""), occurrences("\"ph\":\"E\""));
-  EXPECT_GE(occurrences("\"ph\":\"B\""), 2u);  // speculate + two holds
+/// Checks that `json` nests its braces and brackets and closes its strings
+/// (a cheap well-formedness proxy that catches truncation).
+void expect_well_formed(const std::string& json) {
   int depth = 0;
   bool in_string = false;
   for (std::size_t i = 0; i < json.size(); ++i) {
@@ -350,25 +272,74 @@ TEST(TraceIntegration, ChromeExportIsBalancedAndLoadable) {
   EXPECT_FALSE(in_string);
 }
 
+std::size_t occurrences(const std::string& json, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(TraceIntegration, ChromeExportIsBalancedAndLoadable) {
+  Journal journal = trace_journal();
+  run_fig7_recorded(journal);
+  std::ostringstream out;
+  trace::write_chrome_trace(out, journal);
+  const std::string json = out.str();
+  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
+  EXPECT_NE(json.find("\"speculate\""), std::string::npos);
+  EXPECT_NE(json.find("\"rollback\""), std::string::npos);
+  // Spans must balance: equal numbers of begin and end events.
+  EXPECT_EQ(occurrences(json, "\"ph\":\"B\""),
+            occurrences(json, "\"ph\":\"E\""));
+  EXPECT_GE(occurrences(json, "\"ph\":\"B\""), 2u);  // speculate + holds
+  expect_well_formed(json);
+}
+
+// A journal holding both kinds: decision records become instants next to
+// the protocol slices, and the export still loads and balances.
+TEST(TraceIntegration, ChromeExportRendersDecisionRecordsAsInstants) {
+  Journal journal = trace_journal();
+  journal.txn_abort(10, telemetry::AbortReason::kCommitValidation, 1, 0, 3,
+                    2, 1);
+  run_fig7_recorded(journal);
+  journal.elastic_decision(1'000'000, "promote", 0, 4, 1.0, 2.0, 3.0, 17, 0.5,
+                           2, 0);
+  ASSERT_EQ(journal.count(Kind::kTxnAbort), 1u);
+  ASSERT_EQ(journal.count(Kind::kElasticDecision), 1u);
+  std::ostringstream out;
+  trace::write_chrome_trace(out, journal);
+  const std::string json = out.str();
+  EXPECT_EQ(occurrences(json, "\"cat\":\"decision\""), 2u);
+  EXPECT_NE(json.find("\"name\":\"txn_abort\""), std::string::npos);
+  EXPECT_NE(json.find("\"reason\":\"commit_validation\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"step\":\"promote\""), std::string::npos);
+  EXPECT_EQ(occurrences(json, "\"ph\":\"B\""),
+            occurrences(json, "\"ph\":\"E\""));
+  EXPECT_GE(occurrences(json, "\"ph\":\"B\""), 2u);
+  expect_well_formed(json);
+}
+
 // ---------------------------------------------------------- GWC checker ---
 
 TEST(GwcChecker, AcceptsTheFig7Run) {
-  Recorder rec;
+  Journal journal;
   GwcChecker checker;
-  const auto res = run_fig7_recorded(rec, &checker);
+  const auto res = run_fig7_recorded(journal, &checker);
   ASSERT_EQ(res.final_a, res.expected_a);
   EXPECT_TRUE(checker.ok()) << checker.report();
   EXPECT_GT(checker.writes_checked(), 0u);
 }
 
 TEST(GwcChecker, AcceptsAContendedCounterRun) {
-  Recorder rec;
-  GwcChecker checker;
-  checker.install(rec);
   workloads::CounterParams p;
   p.increments_per_node = 20;
   p.think_mean_ns = 5'000;  // heavy contention: rollbacks + vetoes
-  p.dsm.recorder = &rec;
+  const trace::GwcAudit audit(p.dsm);
+  const GwcChecker& checker = audit.checker();
   const auto topo = net::MeshTorus2D::near_square(8);
   const auto res =
       run_counter(workloads::CounterMethod::kOptimisticGwc, p, topo);
@@ -383,7 +354,7 @@ Event sequenced(std::uint32_t group, std::uint64_t seq, std::uint32_t var,
                 std::int64_t value, std::uint32_t origin,
                 std::string_view label) {
   Event e;
-  e.kind = EventKind::kRootSequence;
+  e.kind = Kind::kRootSequence;
   e.group = group;
   e.seq = seq;
   e.var = var;
@@ -397,7 +368,7 @@ Event applied(std::uint32_t group, std::uint64_t seq, std::uint32_t node,
               std::uint32_t var, std::int64_t value, std::uint32_t origin,
               std::string_view label) {
   Event e;
-  e.kind = EventKind::kNodeApply;
+  e.kind = Kind::kNodeApply;
   e.group = group;
   e.seq = seq;
   e.node = node;

@@ -24,7 +24,6 @@
 #include "shard/client.hpp"
 #include "shard/sharded_store.hpp"
 #include "trace/gwc_checker.hpp"
-#include "trace/recorder.hpp"
 
 namespace optsync {
 namespace {
@@ -38,22 +37,15 @@ faults::FaultPlan txn_attack(std::uint64_t seed) {
   return plan;
 }
 
-struct GwcAudit {
-  trace::Recorder recorder{1 << 10};
-  trace::GwcChecker checker;
-  GwcAudit() { checker.install(recorder); }
-};
-
 class TxnFaultSoak : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TxnFaultSoak, OccStaysSerializableUnderDropAndPartition) {
   const std::uint64_t seed = GetParam();
   sim::Scheduler sched;
   const net::MeshTorus2D topo = net::MeshTorus2D::near_square(8);
-  GwcAudit audit;
   dsm::DsmConfig cfg;
   cfg.faults = txn_attack(seed);
-  cfg.recorder = &audit.recorder;
+  const trace::GwcAudit audit(cfg);
   dsm::DsmSystem sys(sched, topo, cfg);
   ASSERT_TRUE(sys.reliable_transport());
 
@@ -91,8 +83,8 @@ TEST_P(TxnFaultSoak, OccStaysSerializableUnderDropAndPartition) {
         << "shard " << s << " seed " << seed;
   }
   EXPECT_TRUE(store.replicas_converged()) << "seed " << seed;
-  EXPECT_TRUE(audit.checker.ok()) << audit.checker.report();
-  EXPECT_GT(audit.checker.writes_checked(), 0u);
+  EXPECT_TRUE(audit.checker().ok()) << audit.checker().report();
+  EXPECT_GT(audit.checker().writes_checked(), 0u);
   EXPECT_GT(report.faults.drops_injected, 0u) << "seed " << seed;
   // Commit accounting is closed: every planned txn/rmw either committed
   // optimistically or went through the fallback — nothing vanished.
@@ -106,10 +98,9 @@ TEST(TxnFaultSoak, ContendedMixProducesAbortsAndLosesNoIncrements) {
   // exercised the abort path (nonzero aborts) for the proof to bite.
   sim::Scheduler sched;
   const net::MeshTorus2D topo = net::MeshTorus2D::near_square(8);
-  GwcAudit audit;
   dsm::DsmConfig cfg;
   cfg.faults = txn_attack(1299);
-  cfg.recorder = &audit.recorder;
+  const trace::GwcAudit audit(cfg);
   dsm::DsmSystem sys(sched, topo, cfg);
 
   shard::ShardedStoreConfig scfg;
@@ -147,7 +138,7 @@ TEST(TxnFaultSoak, ContendedMixProducesAbortsAndLosesNoIncrements) {
   stats::ServiceReport report;
   store.fill_report(report);
   EXPECT_TRUE(report.serializable());
-  EXPECT_TRUE(audit.checker.ok()) << audit.checker.report();
+  EXPECT_TRUE(audit.checker().ok()) << audit.checker().report();
   // The optimism was real: speculation collided and rolled back.
   EXPECT_GT(store.txn_manager().aborts(), 0u);
 }

@@ -9,7 +9,7 @@
 // and the fault flags (--fault-drop, --fault-seed, --partition).
 //
 // In fault-soak mode (any fault flag set) the run additionally streams
-// every flight-recorder event through trace::GwcChecker, which proves the
+// every protocol record through trace::GwcChecker, which proves the
 // applied write stream of EVERY shard's group is a gapless total order
 // with no speculative visibility — independently of the service's own
 // serializability and convergence assertions. Exit status is nonzero on
@@ -119,10 +119,10 @@ void usage() {
          " --elastic)\n"
          "  --fault-drop P --fault-seed N --partition A:B:S:E[,...]\n"
          "  plus the standard bench flags (--seed, --metrics-out,"
-         " --trace-out,\n  --trace-capacity, --coalesce-max-writes,"
-         " --coalesce-max-ns, --ack-delay-ns,\n  --prom-out,"
-         " --timeseries-out, --sample-interval-ns, --journal-out,\n"
-         "  --journal-capacity)\n";
+         " --trace-out,\n  --coalesce-max-writes, --coalesce-max-ns,"
+         " --ack-delay-ns, --prom-out,\n  --timeseries-out,"
+         " --sample-interval-ns, --journal-out,\n  --journal-capacity:"
+         " one event pool; --trace-out adds the protocol\n  records to it)\n";
 }
 
 }  // namespace
@@ -152,13 +152,9 @@ int main(int argc, char** argv) try {
   dsm::DsmConfig cfg;
   cfg.faults = plan;
   harness.apply(cfg);
-  // Fault-soak mode always audits GWC, trace file or not: the checker is a
-  // streaming recorder sink, so wire the recorder in regardless.
-  trace::GwcChecker checker;
-  if (soak) {
-    cfg.recorder = &harness.recorder();
-    checker.install(harness.recorder());
-  }
+  // Fault-soak mode always audits GWC, trace or journal file or not.
+  std::optional<trace::GwcAudit> audit;
+  if (soak) audit.emplace(cfg);
 
   sim::Scheduler sched;
   const auto topo = net::MeshTorus2D::near_square(nodes);
@@ -381,17 +377,19 @@ int main(int argc, char** argv) try {
     std::cout << frac;
   }
   if (harness.journaling()) {
+    using Kind = telemetry::Journal::Kind;
     const auto& journal = harness.journal();
-    std::cout << "decision journal: " << journal.size() << " events ("
-              << journal.count(telemetry::Journal::Kind::kTxnAbort)
-              << " txn aborts, "
-              << journal.count(telemetry::Journal::Kind::kLeaseGrant)
-              << " lease grants, "
-              << journal.count(telemetry::Journal::Kind::kLeaseInvalidation)
-              << " invalidations, "
-              << journal.count(telemetry::Journal::Kind::kLeaseExpiry)
-              << " expiries, "
-              << journal.count(telemetry::Journal::Kind::kElasticDecision)
+    const std::uint64_t aborts = journal.count(Kind::kTxnAbort);
+    const std::uint64_t grants = journal.count(Kind::kLeaseGrant);
+    const std::uint64_t invals = journal.count(Kind::kLeaseInvalidation);
+    const std::uint64_t expiries = journal.count(Kind::kLeaseExpiry);
+    const std::uint64_t decisions = journal.count(Kind::kElasticDecision);
+    // The pool also holds protocol records when --trace-out is set.
+    std::cout << "decision journal: "
+              << aborts + grants + invals + expiries + decisions
+              << " events (" << aborts << " txn aborts, " << grants
+              << " lease grants, " << invals << " invalidations, "
+              << expiries << " expiries, " << decisions
               << " elastic decisions";
     if (journal.dropped() > 0) {
       std::cout << "; " << journal.dropped() << " DROPPED";
@@ -416,6 +414,7 @@ int main(int argc, char** argv) try {
   if (soak) {
     std::cout << "fault / reliability report\n"
               << stats::format_fault_report(report.faults);
+    const trace::GwcChecker& checker = audit->checker();
     std::cout << "GWC audit (" << checker.writes_checked()
               << " applied writes across " << shards
               << " shard groups): " << checker.report() << "\n";
