@@ -18,8 +18,15 @@ EventId EventQueue::push(Time when, Callback cb) {
   }
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
-  heap_.push_back(Entry{when, next_seq_++, slot, s.gen});
-  sift_up(heap_.size() - 1);
+  // Sequence numbers only grow, so the new entry is never before the run's
+  // tail unless its time is: an in-order push appends in O(1).
+  const Entry e{when, next_seq_++, slot, s.gen};
+  if (run_.empty() || run_.back().time <= when) {
+    run_.push_back(e);
+  } else {
+    heap_.push_back(e);
+    sift_up(heap_.size() - 1);
+  }
   ++live_;
   return make_id(slot, s.gen);
 }
@@ -37,49 +44,92 @@ bool EventQueue::cancel(EventId id) {
   if (gen == 0 || slot >= slots_.size() || slots_[slot].gen != gen) {
     return false;  // already fired, already cancelled, or never existed
   }
-  // O(1): drop the callback and invalidate the slot now; the heap entry
-  // becomes dead and is reclaimed lazily (top drop or compaction).
+  // O(1): drop the callback and invalidate the slot now; the entry (in the
+  // heap or the run) becomes dead and is reclaimed lazily (at the front or
+  // by compaction).
   free_slot(slot);
   --live_;
-  ++dead_in_heap_;
+  ++dead_;
   maybe_compact();
   return true;
 }
 
 void EventQueue::maybe_compact() {
-  // Compact when dead entries dominate: bounds heap memory at ~2x the live
-  // count under arm/cancel storms while keeping the amortized cost O(1)
-  // per cancel (each compaction halves the heap, paid for by the cancels
-  // that created the dead entries).
-  if (dead_in_heap_ < 64 || dead_in_heap_ * 2 <= heap_.size()) return;
-  std::erase_if(heap_, [this](const Entry& e) { return !entry_live(e); });
-  // Bottom-up heapify: O(n), and n just halved.
-  for (std::size_t i = heap_.size() / kArity + 1; i-- > 0;) sift_down(i);
-  dead_in_heap_ = 0;
+  // Compact when dead entries dominate: bounds memory at ~2x the live count
+  // under arm/cancel storms while keeping the amortized cost O(1) per
+  // cancel (each compaction halves the stores, paid for by the cancels that
+  // created the dead entries).
+  if (dead_ < 64 || dead_ * 2 <= heap_.size() + run_.size() - run_head_) {
+    return;
+  }
+  const auto dead = [this](const Entry& e) { return !entry_live(e); };
+  std::erase_if(heap_, dead);
+  // Bottom-up heapify from the last parent: O(n), and n just halved.
+  if (heap_.size() > 1) {
+    for (std::size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;) {
+      sift_down(i);
+    }
+  }
+  // remove_if is stable, so the run stays sorted; the consumed prefix goes.
+  const auto head = run_.begin() + static_cast<std::ptrdiff_t>(run_head_);
+  run_.erase(std::remove_if(head, run_.end(), dead), run_.end());
+  run_.erase(run_.begin(), head);
+  run_head_ = 0;
+  dead_ = 0;
 }
 
-void EventQueue::drop_dead_top() {
+void EventQueue::drop_dead_fronts() {
   while (!heap_.empty() && !entry_live(heap_.front())) {
     heap_.front() = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) sift_down(0);
-    --dead_in_heap_;
+    --dead_;
   }
+  while (run_head_ < run_.size() && !entry_live(run_[run_head_])) {
+    ++run_head_;
+    --dead_;
+  }
+  trim_run();
+}
+
+void EventQueue::trim_run() {
+  if (run_head_ == run_.size()) {
+    // Drained: restart empty, keeping the capacity.
+    run_.clear();
+    run_head_ = 0;
+  } else if (run_head_ >= kMinRunTrim && run_head_ * 2 >= run_.size()) {
+    // A run that keeps being appended to never drains; drop the consumed
+    // prefix once it is half the store (amortized O(1) per pop).
+    run_.erase(run_.begin(),
+               run_.begin() + static_cast<std::ptrdiff_t>(run_head_));
+    run_head_ = 0;
+  }
+}
+
+bool EventQueue::run_first() const {
+  if (run_head_ == run_.size()) return false;
+  return heap_.empty() || before(run_[run_head_], heap_.front());
 }
 
 Time EventQueue::next_time() {
   if (live_ == 0) return kNever;
-  drop_dead_top();
-  return heap_.front().time;
+  drop_dead_fronts();
+  return run_first() ? run_[run_head_].time : heap_.front().time;
 }
 
 EventQueue::Popped EventQueue::pop() {
   OPTSYNC_EXPECT(live_ > 0);
-  drop_dead_top();
-  const Entry e = heap_.front();
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  drop_dead_fronts();
+  Entry e;
+  if (run_first()) {
+    e = run_[run_head_++];
+    trim_run();
+  } else {
+    e = heap_.front();
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0);
+  }
   Popped out{e.time, make_id(e.slot, e.gen), std::move(slots_[e.slot].cb)};
   free_slot(e.slot);
   --live_;
@@ -88,6 +138,8 @@ EventQueue::Popped EventQueue::pop() {
 
 void EventQueue::clear() {
   heap_.clear();
+  run_.clear();
+  run_head_ = 0;
   free_slots_.clear();
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     Slot& s = slots_[i];
@@ -96,7 +148,7 @@ void EventQueue::clear() {
     free_slots_.push_back(i);
   }
   live_ = 0;
-  dead_in_heap_ = 0;
+  dead_ = 0;
 }
 
 void EventQueue::sift_up(std::size_t i) {

@@ -35,7 +35,11 @@ std::uint64_t Scheduler::run_until(Time deadline) {
     step();
     ++n;
   }
-  if (now_ < deadline) now_ = deadline;
+  // Park the clock at the deadline only when nothing pending lies at or
+  // before it: after stop() earlier events may remain, and moving past them
+  // would make the next run() go back in time.
+  const Time next = queue_.next_time();
+  if (now_ < deadline && (next == kNever || next > deadline)) now_ = deadline;
   return n;
 }
 

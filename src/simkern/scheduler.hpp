@@ -78,7 +78,9 @@ class Scheduler {
   std::uint64_t run();
 
   /// Runs events with time <= deadline; leaves later events pending.
-  /// Afterwards now() == min(deadline, time the queue drained).
+  /// Afterwards now() == deadline if no event at or before the deadline is
+  /// left pending (the queue drained or only later events remain). If stop()
+  /// ended the loop early, now() stays at the last event run.
   std::uint64_t run_until(Time deadline);
 
   /// Makes run()/run_until() return after the current event completes.

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <set>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "simkern/assert.hpp"
@@ -267,6 +270,130 @@ TEST(EventQueue, RandomizedOrderMatchesStableSort) {
     EXPECT_EQ(popped.time, e.t);
   }
   EXPECT_TRUE(q.empty());
+}
+
+// The queue keeps two stores — a heap and an append-only sorted run — and
+// must still behave exactly like one priority queue keyed by (time, seq).
+// This drives it against a reference ordered set through every store
+// transition: cancels that compact while the heap is empty, in-order runs
+// (some pushes at the run tail's own instant), out-of-order pushes into the
+// heap, cancels in both stores, a clear(), and a run appended to as fast as
+// it is consumed (its consumed prefix must be trimmed).
+TEST(EventQueue, TwoStoreModelMatchesSortedReference) {
+  Rng rng(19);
+  EventQueue q;
+  // (time, seq, id): seq is push order, the queue's own tie-break.
+  std::set<std::tuple<Time, std::uint64_t, EventId>> ref;
+  std::unordered_map<EventId, std::tuple<Time, std::uint64_t, EventId>> by_id;
+  std::vector<EventId> ids;  // may hold fired or cancelled ids
+  std::uint64_t seq = 0;
+  Time now = 0;   // time of the last pop; pushes never go before it
+  Time tail = 0;  // latest time pushed in order
+
+  const auto check = [&] {
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.empty(), ref.empty());
+    ASSERT_EQ(q.next_time(), ref.empty() ? kNever : std::get<0>(*ref.begin()));
+    // Dead entries stay below ~the live count and a consumed run prefix
+    // below max(live + dead, trim threshold): memory tracks the live set.
+    ASSERT_LE(q.heap_entries(), 4 * q.size() + 1200);
+  };
+  const auto push = [&](Time t) {
+    const EventId id = q.push(t, [] {});
+    const auto key = std::make_tuple(t, seq++, id);
+    ref.insert(key);
+    by_id.emplace(id, key);
+    ids.push_back(id);
+  };
+  const auto push_in_order = [&] {
+    tail = std::max(tail, now) + rng.below(3);  // 1 in 3 at the tail's instant
+    push(tail);
+  };
+  const auto push_random = [&] { push(now + rng.below(2'000)); };
+  const auto pop = [&] {
+    ASSERT_FALSE(ref.empty());
+    const auto want = *ref.begin();
+    auto got = q.pop();
+    ASSERT_EQ(got.time, std::get<0>(want));
+    ASSERT_EQ(got.id, std::get<2>(want));
+    ASSERT_TRUE(got.callback != nullptr);
+    ref.erase(ref.begin());
+    by_id.erase(got.id);
+    now = got.time;
+  };
+  const auto cancel_random = [&] {
+    if (ids.empty()) return;
+    const EventId id = ids[rng.below(ids.size())];
+    const auto it = by_id.find(id);
+    ASSERT_EQ(q.cancel(id), it != by_id.end());
+    if (it != by_id.end()) {
+      ref.erase(it->second);
+      by_id.erase(it);
+    }
+  };
+
+  // Phase 1, on the fresh queue: the heap has never held an entry and every
+  // live entry sits in the run; cancels pile up until compaction runs with
+  // nothing in the heap. Then the heap fills alongside the run.
+  for (int i = 0; i < 500; ++i) push_in_order();
+  for (int i = 0; i < 450; ++i) {
+    const auto k = rng.below(ids.size());
+    std::swap(ids[k], ids.back());
+    const EventId id = ids.back();
+    ids.pop_back();
+    ASSERT_TRUE(q.cancel(id));
+    ref.erase(by_id.at(id));
+    by_id.erase(id);
+    check();
+  }
+  EXPECT_LT(q.dead_entries(), 64u);  // compaction ran
+  for (int i = 0; i < 20; ++i) push_random();
+  check();
+  for (int i = 0; i < 40; ++i) pop();
+  check();
+
+  // Phase 2: interleaved in-order runs, random pushes, pops and cancels.
+  for (int step = 0; step < 60'000; ++step) {
+    const auto dice = rng.below(100);
+    // Pushes and removals balance, so both stores drain now and then.
+    if (dice < 20) {
+      const auto burst = 1 + rng.below(4);
+      for (std::uint64_t i = 0; i < burst; ++i) push_in_order();
+    } else if (dice < 35) {
+      push_random();
+    } else if (dice < 85) {
+      if (!ref.empty()) pop();
+    } else {
+      cancel_random();
+    }
+    check();
+    if (step == 30'000) {
+      // A clear() mid-stream: everything goes, and no old id survives it.
+      q.clear();
+      ref.clear();
+      by_id.clear();
+      check();
+      for (const EventId id : ids) ASSERT_FALSE(q.cancel(id));
+      ids.clear();
+    }
+  }
+  while (!ref.empty()) pop();
+  check();
+
+  // Phase 3: a run appended to as fast as it drains never empties; its
+  // consumed prefix must not accumulate.
+  ids.clear();
+  for (int i = 0; i < 64; ++i) push_in_order();
+  for (int step = 0; step < 50'000; ++step) {
+    pop();
+    push_in_order();
+    check();
+  }
+  while (!ref.empty()) {
+    pop();
+    check();
+  }
+  EXPECT_EQ(q.heap_entries(), 0u);
 }
 
 }  // namespace

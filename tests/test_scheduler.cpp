@@ -93,6 +93,26 @@ TEST(Scheduler, RunUntilIncludesDeadlineEvents) {
   EXPECT_TRUE(fired);
 }
 
+// Regression: run_until used to park the clock at the deadline even when
+// stop() ended the loop with earlier events pending, so the next run() fired
+// an event stamped before now() and at(t) for now_old <= t < deadline threw.
+TEST(Scheduler, RunUntilStoppedEarlyKeepsClockAtLastEvent) {
+  Scheduler s;
+  std::vector<Time> fired;
+  s.at(10, [&] {
+    fired.push_back(s.now());
+    s.stop();
+  });
+  s.at(20, [&] { fired.push_back(s.now()); });
+  EXPECT_EQ(s.run_until(100), 1u);
+  EXPECT_EQ(s.now(), 10u);
+  EXPECT_EQ(s.pending(), 1u);
+  s.at(15, [&] { fired.push_back(s.now()); });  // still in the future
+  s.run();
+  EXPECT_EQ(fired, (std::vector<Time>{10, 15, 20}));
+  EXPECT_EQ(s.now(), 20u);
+}
+
 TEST(Scheduler, CancelStopsPendingEvent) {
   Scheduler s;
   bool fired = false;
