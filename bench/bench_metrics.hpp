@@ -211,13 +211,15 @@ class Harness {
   }
 
   /// Pushes the standard knobs into a run's DsmConfig. Attaches the
-  /// journal when --trace-out or --journal-out was requested; the causal
-  /// tracer is always attached (an untraced op costs one branch per hook).
+  /// journal when --trace-out or --journal-out was requested, and the
+  /// causal tracer only for --trace-out: recording spans costs host time.
+  /// A run that reports attribution without --trace-out attaches tracer()
+  /// (or its own Tracer) itself.
   void apply(dsm::DsmConfig& cfg) {
     cfg.coalesce_max_writes = coalesce_max_writes_;
     cfg.coalesce_max_ns = coalesce_max_ns_;
     cfg.reliable.ack_delay_ns = ack_delay_ns_;
-    cfg.tracer = &tracer_;
+    if (tracing()) cfg.tracer = &tracer_;
     if (tracing() || journaling()) cfg.journal = &journal_;
   }
 

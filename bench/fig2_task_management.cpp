@@ -8,6 +8,10 @@
 //   entry — fast entry consistency (paper peak: 22.5 @ 33 CPUs).
 // The paper reports GWC's peak 3.7x entry's peak, with efficiency collapsing
 // past ~129 CPUs where the 1/128 produce/execute ratio starves consumers.
+//
+// Shape gate: the run exits 1 unless GWC peaks at 129 CPUs, entry peaks at
+// 33 and GWC's peak is at least 2.5x entry's — the figure's shape, not its
+// exact values.
 #include <iostream>
 #include <vector>
 
@@ -80,13 +84,31 @@ int main(int argc, char** argv) try {
         .set("entry_messages", static_cast<double>(entry.messages));
   }
 
+  const double ratio = peak_gwc / std::max(peak_entry, 1e-9);
   table.print(std::cout);
   std::cout << "\npeaks: GWC " << stats::Table::num(peak_gwc) << " @ "
             << peak_gwc_n << " CPUs; entry " << stats::Table::num(peak_entry)
             << " @ " << peak_entry_n << " CPUs; ratio "
-            << stats::Table::num(peak_gwc / std::max(peak_entry, 1e-9)) << "\n";
+            << stats::Table::num(ratio) << "\n";
   std::cout << "paper:  GWC 84.1 @ 129; entry 22.5 @ 33; ratio 3.7\n";
-  return harness.finish() ? 0 : 1;
+
+  constexpr std::size_t kGwcPeakCpus = 129;
+  constexpr std::size_t kEntryPeakCpus = 33;
+  constexpr double kMinPeakRatio = 2.5;
+  const bool shape_ok = peak_gwc_n == kGwcPeakCpus &&
+                        peak_entry_n == kEntryPeakCpus &&
+                        ratio >= kMinPeakRatio;
+  if (shape_ok) {
+    std::cout << "shape gate: peaks @ " << kGwcPeakCpus << " and "
+              << kEntryPeakCpus << ", ratio >= " << kMinPeakRatio << "\n";
+  } else {
+    std::cout << "FIG2 SHAPE REGRESSION: want GWC peak @ " << kGwcPeakCpus
+              << ", entry peak @ " << kEntryPeakCpus << ", ratio >= "
+              << kMinPeakRatio << "; got " << peak_gwc_n << ", "
+              << peak_entry_n << ", " << stats::Table::num(ratio) << "\n";
+  }
+  const bool written = harness.finish();
+  return written && shape_ok ? 0 : 1;
 }
 catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << "\n";

@@ -12,7 +12,12 @@
 //   entry       — entry consistency (paper: 0.81 @ 2, 0.64 @ 128).
 // Headline ratios (paper §4.1): optimistic is ~1.1x regular GWC and ~2.1x
 // entry consistency.
+//
+// Shape gate: the run exits 1 unless optimistic beats regular GWC
+// (opt/reg > 1.0) at every size and no rollback occurs — the paper's
+// "no rollbacks occur" for an uncontended pipeline.
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench_metrics.hpp"
@@ -45,6 +50,7 @@ int main(int argc, char** argv) try {
                       "entry", "opt/reg", "opt/entry", "rollbacks"});
 
   double opt2 = 0, reg2 = 0, entry2 = 0;
+  std::vector<std::string> shape_failures;
   for (const std::size_t n : sizes) {
     const auto topo = net::MeshTorus2D::near_square(n);
 
@@ -60,13 +66,20 @@ int main(int argc, char** argv) try {
       entry2 = entry.network_power;
     }
 
+    const double opt_reg =
+        opt.network_power / std::max(reg.network_power, 1e-9);
+    if (opt_reg <= 1.0 || opt.rollbacks != 0) {
+      shape_failures.push_back(
+          "at " + std::to_string(n) + " CPUs optimistic/regular " +
+          stats::Table::num(opt_reg) + " (must be > 1.0), rollbacks " +
+          std::to_string(opt.rollbacks) + " (must be 0)");
+    }
+
     table.add_row(
         {std::to_string(n), stats::Table::num(nodelay.network_power),
          stats::Table::num(opt.network_power),
          stats::Table::num(reg.network_power),
-         stats::Table::num(entry.network_power),
-         stats::Table::num(opt.network_power /
-                           std::max(reg.network_power, 1e-9)),
+         stats::Table::num(entry.network_power), stats::Table::num(opt_reg),
          stats::Table::num(opt.network_power /
                            std::max(entry.network_power, 1e-9)),
          std::to_string(opt.rollbacks)});
@@ -94,7 +107,15 @@ int main(int argc, char** argv) try {
                " (no-delay bound 1.89)\n"
             << "paper summary: optimistic ~1.1x regular GWC, ~2.1x entry"
                " consistency; no rollbacks occur.\n";
-  return harness.finish() ? 0 : 1;
+  for (const std::string& f : shape_failures) {
+    std::cout << "FIG8 SHAPE REGRESSION: " << f << "\n";
+  }
+  if (shape_failures.empty()) {
+    std::cout << "shape gate: optimistic > regular at every size, 0"
+                 " rollbacks\n";
+  }
+  const bool written = harness.finish();
+  return written && shape_failures.empty() ? 0 : 1;
 }
 catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << "\n";

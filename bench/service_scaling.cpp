@@ -55,8 +55,8 @@ RunResult run_service(bench::Harness& harness, std::uint32_t nodes,
   const auto topo = net::MeshTorus2D::near_square(nodes);
   dsm::DsmConfig cfg;
   harness.apply(cfg);
-  // The grid shares the harness tracer (spans accumulate, unanalyzed); the
-  // attribution stage passes a fresh one so its analysis covers one run.
+  // The attribution stage passes a fresh tracer so its analysis covers one
+  // run; the grid runs untraced.
   if (tracer != nullptr) cfg.tracer = tracer;
   dsm::DsmSystem sys(sched, topo, cfg);
 

@@ -1,15 +1,16 @@
 // Txn scaling: optimistic multi-key commit (OCC over GWC) versus the
-// pessimistic MultiGroupMutex baseline as the shard count grows.
+// pessimistic lock-all baseline as the shard count grows.
 //
-// Both protocols acquire the involved shard locks in the same canonical
-// ascending-VarId order; the difference is WHEN. The legacy path takes
-// every lock first and holds them across the whole per-key compute, so a
-// 3-key transaction occupies three shard roots for the full service time.
+// Both protocols acquire the involved shard locks through the same ordered
+// acquisition (sync::acquire_ordered, ascending VarId); the difference is
+// WHEN. The legacy path takes every lock first and holds them across the
+// whole per-key compute, so a 3-key transaction occupies three shard roots
+// for the full service time.
 // The OCC path speculates outside the locks (local pokes + undo log,
 // clobber interrupts armed) and holds them only for validate + publish —
 // a fraction of the compute — trading a shorter critical section for the
 // occasional abort/retry and, past the abort budget, an irrevocable
-// fallback through the very same MultiGroupMutex.
+// fallback through the very same lock-all path.
 //
 // For each shard count in {1, 2, 4, 8} this bench replays an identical
 // open-loop, transaction-heavy schedule (same seed, same plan bytes)
@@ -206,7 +207,7 @@ int main(int argc, char** argv) try {
   // decided by its commit throughput, so goodput compares capacity.
   const double per_shard_rate = 25'000.0;
 
-  std::cout << "Txn scaling: OCC commit vs MultiGroupMutex baseline, "
+  std::cout << "Txn scaling: OCC commit vs lock-all baseline, "
             << nodes << " nodes, identical open-loop schedules ("
             << requests_per_shard << " req/shard @ "
             << static_cast<std::uint64_t>(per_shard_rate)
@@ -269,7 +270,7 @@ int main(int argc, char** argv) try {
           std::cout << "OCC SCALING REGRESSION: at " << shards
                     << " shards (" << mix.name << " mix) OCC multi-key "
                     << "goodput (" << occ_goodput
-                    << " req/s) did not exceed the MultiGroupMutex "
+                    << " req/s) did not exceed the lock-all "
                     << "baseline (" << multikey << " req/s)\n";
           ok = false;
         }

@@ -29,45 +29,6 @@ OptimisticMutex::NodeState& OptimisticMutex::state(NodeId n) {
   return it->second;
 }
 
-bool OptimisticMutex::held_by(NodeId n) const {
-  return sys_->node(n).read(lock_) == lock_grant_value(n);
-}
-
-bool OptimisticMutex::try_speculate(NodeId n) const {
-  if (!cfg_.enable_optimistic) return false;
-  if (sys_->node(n).read(lock_) != kLockFree) return false;
-  const auto it = states_.find(n);
-  return it == states_.end() ||
-         !it->second.req.history().indicates_usage(cfg_.history_threshold);
-}
-
-sim::Process OptimisticMutex::acquire(NodeId n) {
-  auto& node = sys_->node(n);
-  OPTSYNC_EXPECT(!held_by(n));  // no nested acquisition
-  auto& st = state(n);
-  const sim::Time requested = sys_->scheduler().now();
-
-  const Word old_val = node.atomic_exchange(lock_, lock_request_value(n));
-  emit(n, Kind::kLockRequest, lock_request_value(n));
-  st.req.request(old_val);
-  while (node.read(lock_) != lock_grant_value(n)) {
-    co_await node.on_change(lock_).wait();
-  }
-  emit(n, Kind::kLockAcquire, lock_grant_value(n));
-
-  const sim::Duration waited = sys_->scheduler().now() - requested;
-  ++stats_.acquisitions;
-  stats_.total_wait_ns += waited;
-  stats_.max_wait_ns = std::max(stats_.max_wait_ns, waited);
-}
-
-void OptimisticMutex::release(NodeId n) {
-  OPTSYNC_EXPECT(held_by(n));
-  sys_->node(n).write(lock_, kLockFree);
-  emit(n, Kind::kLockRelease, kLockFree);
-  ++stats_.releases;
-}
-
 double OptimisticMutex::history_value(NodeId n) const {
   const auto it = states_.find(n);
   return it == states_.end() ? 0.0 : it->second.req.history().value();

@@ -59,7 +59,7 @@ struct ExecuteStats {
   sim::Time finished_at = 0;
 };
 
-class OptimisticMutex : public sync::Lock {
+class OptimisticMutex {
  public:
   struct Config {
     /// Master switch; false degrades execute() to the regular GWC queue
@@ -106,27 +106,6 @@ class OptimisticMutex : public sync::Lock {
   /// join() (or run the scheduler to completion).
   sim::Process execute(dsm::NodeId n, Section section,
                        ExecuteStats* out = nullptr);
-
-  // --- sync::Lock interface --------------------------------------------
-  /// Regular-path (non-speculative) acquisition for callers that manage
-  /// the critical section themselves. execute() remains the full Fig. 4
-  /// transformation; this is the §2 queue-lock protocol on the same lock
-  /// variable, sharing the same wait-time accounting.
-  sim::Process acquire(dsm::NodeId n) override;
-
-  /// Writes FREE; must follow the holder's final data writes.
-  void release(dsm::NodeId n) override;
-
-  /// True when node `n`'s local copy shows `n` as the holder.
-  [[nodiscard]] bool held_by(dsm::NodeId n) const override;
-
-  /// Advisory Fig. 4 line 07 probe: optimism enabled, the local lock copy
-  /// reads FREE, and the EWMA history does not indicate usage.
-  [[nodiscard]] bool try_speculate(dsm::NodeId n) const override;
-
-  [[nodiscard]] sync::LockStatsView stats_view() const override {
-    return stats_;
-  }
 
   /// The node's current busyness estimate for this lock.
   [[nodiscard]] double history_value(dsm::NodeId n) const;

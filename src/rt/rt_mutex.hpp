@@ -54,11 +54,10 @@ class RtOptimisticMutex {
   /// Executes `section` on node `n` under the lock. Blocking call.
   Outcome execute(NodeId n, const Section& section);
 
-  /// Snapshot of the counters in the unified sync::LockStatsView shape.
-  /// The class cannot implement sync::Lock itself (it runs on real
-  /// threads, not the simulator's coroutine scheduler) but it reports in
-  /// the same vocabulary: executions == acquisitions here, since every
-  /// completed execute() confirmed ownership exactly once.
+  /// Snapshot of the counters in the unified sync::LockStatsView shape,
+  /// the vocabulary the simulator's locks report in: executions ==
+  /// acquisitions here, since every completed execute() confirmed
+  /// ownership exactly once.
   [[nodiscard]] sync::LockStatsView stats_view() const {
     sync::LockStatsView v;
     v.executions = stats_.executions.load(std::memory_order_relaxed);

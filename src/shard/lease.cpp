@@ -46,8 +46,6 @@ std::string StaleReadAuditor::report() const {
 LeaseManager::LeaseManager(dsm::DsmSystem& sys, LeaseConfig cfg,
                            std::uint32_t slots_per_shard)
     : sys_(&sys), cfg_(cfg), slots_(slots_per_shard) {
-  OPTSYNC_EXPECT(cfg_.stripe_width >= 1);
-  stripes_ = (slots_ + cfg_.stripe_width - 1) / cfg_.stripe_width;
   cache_.resize(sys.node_count());
   svc_clear_.assign(sys.node_count(), 0);
 }
@@ -77,8 +75,8 @@ void LeaseManager::register_shard(ShardId shard, dsm::GroupId group,
   dir->root = root;
   dir->slot_key.assign(slots_, 0);
   dir->slot_val.assign(slots_, 0);
-  dir->epoch.assign(stripes_, 0);
-  dir->holder.resize(stripes_);
+  dir->epoch.assign(slots_, 0);
+  dir->holder.resize(slots_);
   for (std::uint32_t i = 0; i < slots_; ++i) {
     roles_[slot_keys[i]] = VarRole{shard, Role::kSlotKey, i};
     roles_[slot_values[i]] = VarRole{shard, Role::kSlotValue, i};
@@ -111,14 +109,12 @@ void LeaseManager::on_flush(ShardDir& dir, const dsm::Frame& frame) {
       case Role::kVersion:
         dir.version = w.value;
         break;
-      case Role::kOrec: {
-        const std::uint32_t ls = stripe_of(r.index);
-        ++dir.epoch[ls];
-        if (std::find(dirty.begin(), dirty.end(), ls) == dirty.end()) {
-          dirty.push_back(ls);
+      case Role::kOrec:
+        ++dir.epoch[r.index];
+        if (std::find(dirty.begin(), dirty.end(), r.index) == dirty.end()) {
+          dirty.push_back(r.index);
         }
         break;
-      }
     }
   }
   if (dirty.empty()) return;
@@ -174,28 +170,19 @@ void LeaseManager::send_invalidations(
     struct Record {
       std::uint32_t ls;
       std::uint64_t epoch;
-      std::vector<dsm::Word> ks;
-      std::vector<dsm::Word> vs;
+      dsm::Word key;
+      dsm::Word value;
     };
     std::vector<Record> records;
     for (const auto& [n, ls] : revoked) {
       if (n != node) continue;
-      const std::size_t lo = static_cast<std::size_t>(ls) * cfg_.stripe_width;
-      const std::size_t hi =
-          std::min<std::size_t>(lo + cfg_.stripe_width, slots_);
-      records.push_back(Record{
-          ls, dir.epoch[ls],
-          std::vector<dsm::Word>(dir.slot_key.begin() + lo,
-                                 dir.slot_key.begin() + hi),
-          std::vector<dsm::Word>(dir.slot_val.begin() + lo,
-                                 dir.slot_val.begin() + hi)});
+      records.push_back(
+          Record{ls, dir.epoch[ls], dir.slot_key[ls], dir.slot_val[ls]});
     }
     dir.counters.invalidations += records.size();
-    std::uint32_t bytes = cfg_.inval_base_bytes;
-    for (const Record& r : records) {
-      bytes += cfg_.inval_stripe_bytes +
-               cfg_.data_bytes * static_cast<std::uint32_t>(r.ks.size());
-    }
+    const auto bytes = static_cast<std::uint32_t>(
+        cfg_.inval_base_bytes +
+        (cfg_.inval_stripe_bytes + cfg_.data_bytes) * records.size());
     sys_->send_direct(
         dir.root, node, bytes, "lease-inval",
         [this, node, shard = dir.shard, records = std::move(records)] {
@@ -208,8 +195,8 @@ void LeaseManager::send_invalidations(
               // the new epoch. TTL is NOT extended — only a grant does that,
               // so a client that stops reading ages out of the directory.
               lease.epoch = r.epoch;
-              lease.slot_key = r.ks;
-              lease.slot_val = r.vs;
+              lease.key = r.key;
+              lease.value = r.value;
               lease.valid = r.epoch >= lease.max_invalidated;
             }
           }
@@ -237,10 +224,8 @@ sim::Process LeaseManager::client_read(dsm::NodeId n, ShardId shard,
                                        bool leased) {
   auto& sched = sys_->scheduler();
   ShardDir& dir = *dirs_[shard];
-  const std::uint32_t ls = stripe_of(slot);
+  const auto ls = static_cast<std::uint32_t>(slot);
   const bool use_lease = leased && cfg_.enabled;
-  const std::size_t off =
-      slot - static_cast<std::size_t>(ls) * cfg_.stripe_width;
 
   if (use_lease) {
     if (StripeLease* lease = lease_at(n, shard, ls);
@@ -248,8 +233,8 @@ sim::Process LeaseManager::client_read(dsm::NodeId n, ShardId shard,
       ++dir.counters.hits;
       auditor_.on_serve(n, shard, ls, lease->epoch, sched.now(),
                         lease->expiry);
-      *out = lease->slot_key[off] == static_cast<dsm::Word>(key)
-                 ? std::optional<dsm::Word>(lease->slot_val[off])
+      *out = lease->key == static_cast<dsm::Word>(key)
+                 ? std::optional<dsm::Word>(lease->value)
                  : std::nullopt;
       co_return;
     }
@@ -261,13 +246,12 @@ sim::Process LeaseManager::client_read(dsm::NodeId n, ShardId shard,
     explicit Rendezvous(sim::Scheduler& s) : sig(s) {}
     sim::Signal sig;
     bool done = false;
+    // The root's answer. On the grant path it is the atomic (epoch,
+    // content) pair, kept so a grant whose TTL elapsed in flight can still
+    // be served once.
     dsm::Word key_word = 0;
     dsm::Word val_word = 0;
-    // Grant path: the root's atomic (epoch, content) answer, kept so a
-    // grant whose TTL elapsed in flight can still be served once.
     std::uint64_t epoch = 0;
-    std::vector<dsm::Word> ks;
-    std::vector<dsm::Word> vs;
   };
   const sim::Time fetch_began = sched.now();
   for (;;) {
@@ -305,20 +289,12 @@ sim::Process LeaseManager::client_read(dsm::NodeId n, ShardId shard,
                 j->lease_grant(sys_->scheduler().now(), n, shard, ls,
                                prior_epoch, epoch);
               }
-              const std::size_t lo =
-                  static_cast<std::size_t>(ls) * cfg_.stripe_width;
-              const std::size_t hi =
-                  std::min<std::size_t>(lo + cfg_.stripe_width, slots_);
-              std::vector<dsm::Word> ks(dr.slot_key.begin() + lo,
-                                        dr.slot_key.begin() + hi);
-              std::vector<dsm::Word> vs(dr.slot_val.begin() + lo,
-                                        dr.slot_val.begin() + hi);
-              const auto bytes = static_cast<std::uint32_t>(
-                  cfg_.ctrl_bytes + cfg_.data_bytes * (hi - lo));
+              const dsm::Word k = dr.slot_key[ls];
+              const dsm::Word v = dr.slot_val[ls];
               sys_->send_direct(
-                  dr.root, n, bytes, "lease-grant",
-                  [this, n, shard, ls, epoch, expiry, ks = std::move(ks),
-                   vs = std::move(vs), rv]() mutable {
+                  dr.root, n, cfg_.ctrl_bytes + cfg_.data_bytes,
+                  "lease-grant",
+                  [this, n, shard, ls, epoch, expiry, k, v, rv] {
                     StripeLease& lease = cache_[n][cache_key(shard, ls)];
                     // The TTL extension is real either way (the directory
                     // holder was refreshed at service time), but content
@@ -326,12 +302,12 @@ sim::Process LeaseManager::client_read(dsm::NodeId n, ShardId shard,
                     // with a newer epoch.
                     lease.expiry = std::max(lease.expiry, expiry);
                     rv->epoch = epoch;
-                    rv->ks = ks;
-                    rv->vs = vs;
+                    rv->key_word = k;
+                    rv->val_word = v;
                     if (epoch >= lease.epoch) {
                       lease.epoch = epoch;
-                      lease.slot_key = std::move(ks);
-                      lease.slot_val = std::move(vs);
+                      lease.key = k;
+                      lease.value = v;
                       // A grant that an already-delivered invalidation
                       // supersedes installs dead: the reader below
                       // refetches instead of serving a version the client
@@ -377,8 +353,8 @@ sim::Process LeaseManager::client_read(dsm::NodeId n, ShardId shard,
     if (lease != nullptr && lease->valid && sched.now() < lease->expiry) {
       auditor_.on_serve(n, shard, ls, lease->epoch, sched.now(),
                         lease->expiry);
-      *out = lease->slot_key[off] == static_cast<dsm::Word>(key)
-                 ? std::optional<dsm::Word>(lease->slot_val[off])
+      *out = lease->key == static_cast<dsm::Word>(key)
+                 ? std::optional<dsm::Word>(lease->value)
                  : std::nullopt;
       break;
     }
@@ -388,8 +364,8 @@ sim::Process LeaseManager::client_read(dsm::NodeId n, ShardId shard,
     // round trip would have returned. Without this a TTL shorter than the
     // round trip retries forever.
     if (lease == nullptr || rv->epoch >= lease->max_invalidated) {
-      *out = rv->ks[off] == static_cast<dsm::Word>(key)
-                 ? std::optional<dsm::Word>(rv->vs[off])
+      *out = rv->key_word == static_cast<dsm::Word>(key)
+                 ? std::optional<dsm::Word>(rv->val_word)
                  : std::nullopt;
       break;
     }
@@ -410,7 +386,7 @@ bool LeaseManager::warm(dsm::NodeId n, ShardId shard,
   const sim::Time now = sys_->scheduler().now();
   for (const std::size_t slot : slots) {
     const StripeLease* lease =
-        lease_at(n, shard, stripe_of(static_cast<std::uint32_t>(slot)));
+        lease_at(n, shard, static_cast<std::uint32_t>(slot));
     if (lease == nullptr || !lease->valid || now >= lease->expiry) {
       return false;
     }
@@ -420,17 +396,15 @@ bool LeaseManager::warm(dsm::NodeId n, ShardId shard,
 
 void LeaseManager::serve_warm(dsm::NodeId n, ShardId shard, std::size_t slot,
                               Key key, std::optional<dsm::Word>* out) {
-  const std::uint32_t ls = stripe_of(static_cast<std::uint32_t>(slot));
+  const auto ls = static_cast<std::uint32_t>(slot);
   StripeLease* lease = lease_at(n, shard, ls);
   OPTSYNC_EXPECT(lease != nullptr && lease->valid);
   ShardDir& dir = *dirs_[shard];
   ++dir.counters.hits;
   auditor_.on_serve(n, shard, ls, lease->epoch, sys_->scheduler().now(),
                     lease->expiry);
-  const std::size_t off =
-      slot - static_cast<std::size_t>(ls) * cfg_.stripe_width;
-  *out = lease->slot_key[off] == static_cast<dsm::Word>(key)
-             ? std::optional<dsm::Word>(lease->slot_val[off])
+  *out = lease->key == static_cast<dsm::Word>(key)
+             ? std::optional<dsm::Word>(lease->value)
              : std::nullopt;
 }
 

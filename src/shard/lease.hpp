@@ -9,8 +9,9 @@
 // local-memory operation (the RMR-bounding idea of local-spin DSM mutual
 // exclusion, applied to data): a client acquires a *versioned read lease*
 // on a key's stripe from the shard's group root, caches the stripe's
-// slots, and serves subsequent reads with zero messages until the lease is
-// invalidated or its TTL expires. The writer pays the invalidation.
+// slot, and serves subsequent reads with zero messages until the lease is
+// invalidated or its TTL expires. The writer pays the invalidation. A lease
+// stripe is one slot, the same unit as the OCC orec stripe.
 //
 // Consistency is anchored to GWC commit points. The root's LeaseDirectory
 // taps every coalesce flush through GroupRoot::set_frame_observer — the
@@ -70,12 +71,6 @@ struct LeaseConfig {
   /// them invalidations (their lease already self-revoked).
   sim::Duration ttl_ns = 2'000'000;
 
-  /// KV slots per lease stripe. Leases, epochs, and the holder directory
-  /// are per stripe, so width bounds directory size: a shard tracks at
-  /// most ceil(slots / width) * clients holder entries. Width 1 pins the
-  /// lease stripe to the OCC orec stripe (stripe == slot == orec).
-  std::uint32_t stripe_width = 1;
-
   /// Server-side cost to answer one lease RPC: directory lookup, holder
   /// bookkeeping, reply marshalling, and the reply's egress serialization
   /// at the 1 Gb/s link. Each server NODE is one software serializer —
@@ -91,8 +86,8 @@ struct LeaseConfig {
   /// control-sized, payloads add data_bytes per slot carried.
   std::uint32_t ctrl_bytes = 16;
   std::uint32_t data_bytes = 24;
-  /// An update-carrying invalidation: base + per-revoked-stripe record +
-  /// data_bytes per slot of pushed stripe content.
+  /// An update-carrying invalidation: base + per revoked stripe, a record
+  /// plus data_bytes of pushed slot content.
   std::uint32_t inval_base_bytes = 16;
   std::uint32_t inval_stripe_bytes = 8;
 };
@@ -161,8 +156,8 @@ class LeaseManager {
                            Key key, std::optional<dsm::Word>* out,
                            bool leased);
 
-  /// True when every slot the stripes of `slots` cover is warm on `n`:
-  /// a valid, unexpired lease with cached values. A warm kSnapshot
+  /// True when every slot of `slots` is warm on `n`: a valid, unexpired
+  /// lease with a cached value. A warm kSnapshot
   /// multi_get is served entirely locally.
   [[nodiscard]] bool warm(dsm::NodeId n, ShardId shard,
                           const std::vector<std::size_t>& slots) const;
@@ -170,10 +165,8 @@ class LeaseManager {
   void serve_warm(dsm::NodeId n, ShardId shard, std::size_t slot, Key key,
                   std::optional<dsm::Word>* out);
 
-  [[nodiscard]] std::uint32_t stripe_of(std::size_t slot) const {
-    return static_cast<std::uint32_t>(slot) / cfg_.stripe_width;
-  }
-  [[nodiscard]] std::uint32_t stripes() const { return stripes_; }
+  /// Lease stripes per shard: one per slot.
+  [[nodiscard]] std::uint32_t stripes() const { return slots_; }
   [[nodiscard]] const LeaseConfig& config() const { return cfg_; }
 
   // --- introspection (fill_report, tests, benches) -----------------------
@@ -201,7 +194,7 @@ class LeaseManager {
   [[nodiscard]] std::size_t directory_size(ShardId s) const;
   [[nodiscard]] std::size_t holders(ShardId s, std::uint32_t stripe) const;
   /// Root-side lease epoch of one stripe (== the orec version the stripe's
-  /// last committed write published, when stripe_width == 1).
+  /// last committed write published).
   [[nodiscard]] std::uint64_t stripe_epoch(ShardId s,
                                            std::uint32_t stripe) const;
 
@@ -246,8 +239,8 @@ class LeaseManager {
     std::uint64_t max_invalidated = 0;
     sim::Time expiry = 0;
     bool valid = false;
-    std::vector<dsm::Word> slot_key;  ///< stripe's slots, cached at grant
-    std::vector<dsm::Word> slot_val;
+    dsm::Word key = 0;  ///< the stripe's slot, cached at grant
+    dsm::Word value = 0;
   };
 
   void on_flush(ShardDir& dir, const dsm::Frame& frame);
@@ -269,7 +262,6 @@ class LeaseManager {
   dsm::DsmSystem* sys_;
   LeaseConfig cfg_;
   std::uint32_t slots_;
-  std::uint32_t stripes_;
   std::vector<std::unique_ptr<ShardDir>> dirs_;  ///< indexed by ShardId
   std::unordered_map<dsm::VarId, VarRole> roles_;
   /// Per-node stripe caches (clients only ever populate theirs).

@@ -428,21 +428,6 @@ sim::Process ShardedStore::put_optimistic(Shard& sh, ShardId sid,
   ++sh.optimistic_ops;
 }
 
-core::MultiGroupMutex& ShardedStore::txn_mutex(
-    const std::vector<ShardId>& ids) {
-  auto it = txn_muxes_.find(ids);
-  if (it == txn_muxes_.end()) {
-    std::vector<dsm::VarId> locks;
-    locks.reserve(ids.size());
-    for (const ShardId s : ids) locks.push_back(shards_[s]->lock);
-    it = txn_muxes_
-             .emplace(ids, std::make_unique<core::MultiGroupMutex>(
-                               *sys_, std::move(locks)))
-             .first;
-  }
-  return *it->second;
-}
-
 std::vector<Key> ShardedStore::txn_keys(const TxnRequest& req) {
   const int classes = (!req.puts.empty() ? 1 : 0) +
                       (!req.adds.empty() ? 1 : 0) +
@@ -587,13 +572,13 @@ sim::Process ShardedStore::run_txn(dsm::NodeId n, TxnRequest req,
     record_txn_fallback(n, ids, aborts);
   }
   const sim::Time entered = sched.now();
-  core::MultiGroupMutex* mux = nullptr;
-  co_await lock_owners(n, keys, &ids, &mux).join();
+  std::vector<dsm::VarId> locks;
+  co_await lock_owners(n, keys, &ids, &locks).join();
   const sim::Time acquired = sched.now();
   if (reads) {
     out->clear();
     for (const Key key : keys) out->push_back(local_get(n, key));
-    mux->release(n);
+    sync::release_ordered(*sys_, locks, n);
     co_return;
   }
   co_await sim::delay(
@@ -608,7 +593,7 @@ sim::Process ShardedStore::run_txn(dsm::NodeId n, TxnRequest req,
     Shard& sh = *shards_[s];
     node.write(sh.version, node.read(sh.version) + 1);
   }
-  mux->release(n);
+  sync::release_ordered(*sys_, locks, n);
   if (auto* trc = sys_->tracer()) {
     if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
       trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kCs, n,
@@ -622,21 +607,20 @@ sim::Process ShardedStore::run_txn(dsm::NodeId n, TxnRequest req,
 sim::Process ShardedStore::lock_owners(dsm::NodeId n,
                                        const std::vector<Key>& keys,
                                        std::vector<ShardId>* ids,
-                                       core::MultiGroupMutex** held) {
-  core::MultiGroupMutex* mux = &txn_mutex(*ids);
+                                       std::vector<dsm::VarId>* held) {
   for (;;) {
-    co_await mux->acquire(n).join();
+    held->clear();
+    for (const ShardId s : *ids) held->push_back(shards_[s]->lock);
+    co_await sync::acquire_ordered(*sys_, held, n).join();
     if (!cfg_.elastic.enabled) break;
     // The directory may have moved a key while we queued: then the locks
     // held are the wrong set. Release and chase the new owners (again in
-    // ascending order) — never touch a key under the wrong shard's lock.
+    // canonical order) — never touch a key under the wrong shard's lock.
     std::vector<ShardId> now_ids = involved_shards(keys);
     if (now_ids == *ids) break;
-    mux->release(n);
+    sync::release_ordered(*sys_, *held, n);
     *ids = std::move(now_ids);
-    mux = &txn_mutex(*ids);
   }
-  *held = mux;
 }
 
 // --- elastic fabric --------------------------------------------------------
@@ -695,12 +679,10 @@ sim::Process ShardedStore::reassign_body(dsm::NodeId exec, ShardId src,
                                          std::uint64_t* moved_slots) {
   OPTSYNC_EXPECT(src != dst);
   auto& sched = sys_->scheduler();
-  std::vector<ShardId> ids{src, dst};
-  std::sort(ids.begin(), ids.end());
-  core::MultiGroupMutex& mux = txn_mutex(ids);
-  co_await mux.acquire(exec).join();
   Shard& from = *shards_[src];
   Shard& to = *shards_[dst];
+  std::vector<dsm::VarId> locks{from.lock, to.lock};
+  co_await sync::acquire_ordered(*sys_, &locks, exec).join();
   auto& node = sys_->node(exec);
   std::uint64_t moved = 0;
   for (std::uint32_t slot = 0; slot < cfg_.slots_per_shard; ++slot) {
@@ -743,7 +725,7 @@ sim::Process ShardedStore::reassign_body(dsm::NodeId exec, ShardId src,
     map_history_.erase(map_history_.begin());
   }
   mutate(map_);
-  mux.release(exec);
+  sync::release_ordered(*sys_, locks, exec);
   if (moved_slots != nullptr) *moved_slots = moved;
 }
 

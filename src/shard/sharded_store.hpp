@@ -35,8 +35,8 @@
 // speculate locally, detect conflicts through clobber interrupts and orec
 // versions, then commit under the involved shard locks held only for
 // validate+publish. Repeated aborts escalate to the irrevocable fallback —
-// the TxnMode::kLegacy path, core::MultiGroupMutex held across the whole
-// compute. Either way every involved shard's version word is bumped once,
+// the TxnMode::kLegacy path, every involved shard lock taken through
+// sync::acquire_ordered and held across the whole compute. Either way every involved shard's version word is bumped once,
 // so the per-shard serializability ledger stays exact across shard
 // boundaries, and every committed slot write bumps the slot's orec stripe,
 // which is what multi_get/multi_rmw readers — and lease epochs — validate
@@ -55,13 +55,11 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "core/multi_group_mutex.hpp"
 #include "core/optimistic_mutex.hpp"
 #include "core/usage_history.hpp"
 #include "dsm/system.hpp"
@@ -142,8 +140,8 @@ constexpr std::string_view consistency_level_name(ConsistencyLevel c) {
 struct TxnConfig {
   /// kOcc speculates outside the locks and holds them only for
   /// validate+publish; kLegacy holds every involved lock across the whole
-  /// compute (the pre-OCC MultiGroupMutex path, kept as baseline and as
-  /// the OCC irrevocable fallback).
+  /// compute (the pre-OCC path, kept as baseline and as the OCC
+  /// irrevocable fallback).
   TxnMode mode = TxnMode::kOcc;
   /// OCC layer tuning. The store forces `orec_stripes` to slots_per_shard
   /// (stripe == slot, so a slot write always bumps the orec its readers
@@ -420,13 +418,14 @@ class ShardedStore {
   /// lock. Reads land in `*out`.
   sim::Process run_txn(dsm::NodeId n, TxnRequest req,
                        std::vector<std::optional<dsm::Word>>* out);
-  /// Acquires the MultiGroupMutex of `*ids` (the owners of `keys`); on an
-  /// elastic fabric re-checks ownership after the grant and, if the
-  /// directory moved a key meanwhile, releases and chases the new owners.
-  /// On return `*held` is held and `*ids` names its shards.
+  /// Acquires the locks of `*ids` (the owners of `keys`) in canonical
+  /// order; on an elastic fabric re-checks ownership after the grant and,
+  /// if the directory moved a key meanwhile, releases and chases the new
+  /// owners. On return `*held` names the held locks (release them with
+  /// sync::release_ordered) and `*ids` their shards.
   sim::Process lock_owners(dsm::NodeId n, const std::vector<Key>& keys,
                            std::vector<ShardId>* ids,
-                           core::MultiGroupMutex** held);
+                           std::vector<dsm::VarId>* held);
 
   // --- partial-replication routing --------------------------------------
   using OpThunk = std::function<sim::Process()>;
@@ -442,9 +441,6 @@ class ShardedStore {
                           std::uint32_t req_bytes, std::uint32_t reply_bytes,
                           OpThunk thunk);
 
-  /// Cached MultiGroupMutex per involved-shard set (clients are stateless
-  /// between acquisitions, so reuse is safe and keeps stats cumulative).
-  core::MultiGroupMutex& txn_mutex(const std::vector<ShardId>& ids);
   [[nodiscard]] std::vector<ShardId> involved_shards(
       const std::vector<Key>& keys) const;
   void record_txn_flight(sim::Time started, sim::Time acquired);
@@ -498,8 +494,6 @@ class ShardedStore {
     sim::Process tail;
   };
   std::vector<ProxySlot> proxies_;
-  std::map<std::vector<ShardId>, std::unique_ptr<core::MultiGroupMutex>>
-      txn_muxes_;
   stats::LockStats txn_stats_;
   /// Bounded history of past directory snapshots (newest last): a client
   /// whose epoch is still in history routes against its exact snapshot; an

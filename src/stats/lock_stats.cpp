@@ -28,16 +28,6 @@ void LockStats::merge(const LockStats& other) {
   root_speculative_drops += other.root_speculative_drops;
 }
 
-void LockStats::absorb(const sync::LockStatsView& v) {
-  acquisitions += v.acquisitions;
-  speculative_attempts += v.optimistic_attempts;
-  speculative_commits += v.optimistic_successes;
-  rollbacks += v.rollbacks;
-  // Every speculative entry is, by definition, one the history gate allowed.
-  history_allows += v.optimistic_attempts;
-  history_vetoes += v.history_vetoes;
-}
-
 void LockStats::write_json(JsonWriter& w) const {
   w.begin_object()
       .value("name", name)

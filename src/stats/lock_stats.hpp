@@ -16,7 +16,6 @@
 
 #include "stats/histogram.hpp"
 #include "stats/json.hpp"
-#include "sync/lock.hpp"
 
 namespace optsync::stats {
 
@@ -50,12 +49,6 @@ struct LockStats {
 
   /// Accumulates another record (histograms bucket-wise, counters summed).
   void merge(const LockStats& other);
-
-  /// Folds a lock's unified end-of-run counters (sync::LockStatsView) into
-  /// this record — the one-shot alternative to the incremental feeding
-  /// OptimisticMutex does through Config::lock_stats. Histograms are left
-  /// untouched: a view carries only total/max wait, not a distribution.
-  void absorb(const sync::LockStatsView& v);
 
   /// Serializes as one JSON object: counters plus min/mean/p50/p95/p99/max
   /// for each histogram. Caller is inside an array or keyed position.

@@ -28,7 +28,8 @@ namespace optsync::stats {
 /// Operation classes the service distinguishes. kTxn is a multi-key write
 /// crossing shard (and therefore root) boundaries; kRmw is a multi-key
 /// read-modify-write (YCSB-F idiom). Both commit through the store's
-/// configured TxnMode (OCC or legacy MultiGroupMutex).
+/// configured TxnMode (OCC, or legacy: every involved lock held across the
+/// body).
 enum class ServiceOp { kRead = 0, kWrite = 1, kTxn = 2, kRmw = 3 };
 inline constexpr std::size_t kServiceOpCount = 4;
 

@@ -1,14 +1,9 @@
-// The unified lock abstraction + one shared stats shape.
+// One shared stats shape for the lock clients.
 //
-// Before this interface the repo grew four lock-like classes, each with its
-// own nested Stats struct: sync::GwcQueueLock, core::OptimisticMutex,
-// core::MultiGroupMutex, and rt::RtOptimisticMutex. Benches and the
-// per-lock metrics record (stats::LockStats) had to know every shape.
-// sync::Lock collapses the contract to three operations plus an advisory
-// speculation probe, and LockStatsView is the union of the old counters —
-// a plain value snapshot every implementation can fill (the threaded
-// runtime's mutex snapshots its atomics into one; the simulator locks hand
-// out their live counters).
+// sync::GwcQueueLock, core::OptimisticMutex and rt::RtOptimisticMutex all
+// report their counters as a LockStatsView — a plain value snapshot every
+// implementation can fill (the threaded runtime's mutex snapshots its
+// atomics into one; the simulator locks hand out their live counters).
 //
 // Counters an implementation has no concept of stay zero: a plain queue
 // lock never speculates, so its optimistic_* fields are 0; a mutex driven
@@ -17,8 +12,7 @@
 
 #include <cstdint>
 
-#include "dsm/types.hpp"
-#include "simkern/coro.hpp"
+#include "simkern/time.hpp"
 
 namespace optsync::sync {
 
@@ -41,39 +35,6 @@ struct LockStatsView {
   std::uint64_t context_switches = 0;  ///< blocking episodes that swapped
   std::uint64_t history_vetoes = 0;    ///< regular paths forced purely by
                                        ///< the EWMA history estimate
-};
-
-/// Abstract mutual-exclusion client over the simulated DSM substrate.
-///
-/// acquire() is a coroutine completing when ownership is confirmed in the
-/// caller's local memory; release() must follow the holder's final data
-/// writes so GWC ordering carries data-before-release to every member.
-/// try_speculate() is advisory: "would an optimistic entry look profitable
-/// on node n right now?" — locks without a speculation path always say no,
-/// and a true answer promises nothing (the root still arbitrates).
-class Lock {
- public:
-  virtual ~Lock() = default;
-
-  /// Requests the lock for node `n`; the returned Process completes when
-  /// the grant reaches the node. Use as: co_await lk.acquire(n).join();
-  virtual sim::Process acquire(dsm::NodeId n) = 0;
-
-  /// Releases the lock held by node `n`.
-  virtual void release(dsm::NodeId n) = 0;
-
-  /// True when node `n`'s local state shows it as the holder.
-  [[nodiscard]] virtual bool held_by(dsm::NodeId n) const = 0;
-
-  /// Whether an optimistic (speculate-before-grant) entry looks profitable
-  /// for node `n` right now. Purely advisory; default says never.
-  [[nodiscard]] virtual bool try_speculate(dsm::NodeId n) const {
-    (void)n;
-    return false;
-  }
-
-  /// Snapshot of the lock's counters in the unified shape.
-  [[nodiscard]] virtual LockStatsView stats_view() const = 0;
 };
 
 }  // namespace optsync::sync

@@ -5,9 +5,10 @@
 // (livelock). The manager spaces retries with bounded exponential backoff
 // plus deterministic jitter (the simulation stays a pure function of the
 // seed), and after a configured abort budget it tells the caller to stop
-// speculating and take the irrevocable fallback path — the legacy
-// MultiGroupMutex pessimistic lock acquisition — so every transaction is
-// guaranteed to finish (no starvation, however hot the keys).
+// speculating and take the irrevocable fallback path — every involved lock
+// taken through sync::acquire_ordered and held across the body — so every
+// transaction is guaranteed to finish (no starvation, however hot the
+// keys).
 #pragma once
 
 #include <cstdint>

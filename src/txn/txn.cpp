@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "simkern/assert.hpp"
+#include "sync/gwc_lock.hpp"
 #include "telemetry/tracer.hpp"
 
 namespace optsync::txn {
@@ -21,8 +22,7 @@ SiteId TxnManager::add_site(const std::string& name, dsm::GroupId g,
   site.group = g;
   site.lock = lock;
   site.version = version;
-  site.client = std::make_unique<sync::GwcQueueLock>(*sys_, lock);
-  sites_.push_back(std::move(site));
+  sites_.push_back(site);
   OPTSYNC_ENSURE(static_cast<SiteId>(sites_.size() - 1) == id);
   return id;
 }
@@ -168,17 +168,16 @@ sim::Process TxnManager::commit(Txn& t, CommitResult* out) {
     co_return;
   }
 
-  // Canonical lock order: ascending lock VarId — the same global order
-  // MultiGroupMutex acquires in, so the optimistic commit path and the
-  // irrevocable fallback can never deadlock against each other.
-  std::vector<SiteId> order = t.write_sites;
-  std::sort(order.begin(), order.end(), [this](SiteId a, SiteId b) {
-    return sites_[a].lock < sites_[b].lock;
-  });
-  for (const SiteId s : order) {
-    co_await sites_[s].client->acquire(t.node).join();
+  // The write-site locks, taken through the one ordered acquisition the
+  // irrevocable fallback uses too, so the two paths can never deadlock
+  // against each other. A read-only commit takes no locks.
+  std::vector<dsm::VarId> locks;
+  locks.reserve(t.write_sites.size());
+  for (const SiteId s : t.write_sites) locks.push_back(sites_[s].lock);
+  if (!locks.empty()) {
+    co_await sync::acquire_ordered(*sys_, &locks, t.node).join();
+    out->locks_acquired_at = sched.now();
   }
-  out->locks_acquired_at = order.empty() ? 0 : sched.now();
 
   // Validate. Grant-follows-data: with every write lock held, all orec
   // bumps sequenced before our grants have applied locally, so the local
@@ -229,9 +228,7 @@ sim::Process TxnManager::commit(Txn& t, CommitResult* out) {
       if (ver != dsm::kNoVar) node.write(ver, node.read(ver) + 1);
     }
   }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    sites_[*it].client->release(t.node);
-  }
+  sync::release_ordered(*sys_, locks, t.node);
 
   if (ok) {
     t.undo.clear();  // discard — nothing to restore

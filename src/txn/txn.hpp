@@ -26,10 +26,10 @@
 //     (strict two-phase locking at commit keeps write-write races
 //     serializable: the loser's update is simply ordered first).
 //
-//   COMMIT — site locks of the write-set are acquired in canonical order
-//     (ascending lock VarId — the same global order MultiGroupMutex
-//     uses, so the optimistic and fallback paths are jointly
-//     deadlock-free). Once every grant has applied locally, GWC's
+//   COMMIT — site locks of the write-set are acquired through
+//     sync::acquire_ordered (canonical ascending lock VarId — the same
+//     acquisition the irrevocable fallback uses, so the optimistic and
+//     fallback paths are jointly deadlock-free). Once every grant has applied locally, GWC's
 //     grant-follows-data property makes the local orec replicas exactly
 //     the owning roots' view, so read-set validation is a local compare
 //     of each observed orec version ("validation at the root" by proxy).
@@ -54,7 +54,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -62,7 +61,6 @@
 
 #include "dsm/system.hpp"
 #include "simkern/coro.hpp"
-#include "sync/gwc_lock.hpp"
 #include "txn/contention.hpp"
 #include "txn/orec.hpp"
 
@@ -211,7 +209,6 @@ class TxnManager {
     dsm::GroupId group = 0;
     dsm::VarId lock = dsm::kNoVar;
     dsm::VarId version = dsm::kNoVar;
-    std::unique_ptr<sync::GwcQueueLock> client;
   };
 
   void arm_clobber(Txn& t, SiteId site, std::uint32_t stripe, dsm::VarId v);

@@ -168,6 +168,22 @@ TEST(GwcQueueLock, HeldByReflectsLocalCopy) {
   p.rethrow_if_failed();
 }
 
+TEST(GwcQueueLock, NestedAcquireThrowsSynchronously) {
+  // Validation runs before the coroutine starts: a nested request throws to
+  // the caller instead of coming back as a failed Process.
+  Fixture f(4);
+  GwcQueueLock lk(f.sys, f.lock_var);
+  auto p = lk.acquire(1);
+  f.sched.run();
+  p.rethrow_if_failed();
+  ASSERT_TRUE(lk.held_by(1));
+  EXPECT_THROW((void)lk.acquire(1), ContractViolation);
+  EXPECT_TRUE(lk.held_by(1));  // the held lock was not re-requested
+  EXPECT_EQ(lk.stats().acquisitions, 1u);
+  lk.release(1);
+  f.sched.run();
+}
+
 TEST(GwcQueueLock, WaitStatsTracked) {
   Fixture f(4);
   GwcQueueLock lk(f.sys, f.lock_var);

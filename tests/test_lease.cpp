@@ -88,7 +88,6 @@ TEST(LeaseConfigDefaults, NestedConfigDefaultsMatchTheSeedLayout) {
   EXPECT_LT(cfg.coalesce.max_ns, 0);         // inherit DsmConfig
   EXPECT_FALSE(cfg.lease.enabled);
   EXPECT_EQ(cfg.lease.server_nodes, 0u);     // full replication
-  EXPECT_EQ(cfg.lease.stripe_width, 1u);     // lease stripe == orec stripe
 }
 
 TEST(LeaseConfigDefaults, ServerSpanCoveringAllNodesNormalizesToFull) {
@@ -170,7 +169,7 @@ TEST(Lease, EpochAdvancesInLockstepWithOrecVersion) {
 
   for (dsm::Word i = 1; i <= 4; ++i) {
     f.write(0, k, i * 10);
-    // stripe_width == 1 pins lease stripe == slot == orec stripe, so the
+    // A lease stripe is the slot, and so the orec stripe: the
     // directory epoch must equal the orec version every reader validates
     // (site id == shard id in the txn layer).
     EXPECT_EQ(f.leases().stripe_epoch(s, slot),

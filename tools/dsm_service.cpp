@@ -152,6 +152,8 @@ int main(int argc, char** argv) try {
   dsm::DsmConfig cfg;
   cfg.faults = plan;
   harness.apply(cfg);
+  // The run always prints its latency attribution, so it is always traced.
+  cfg.tracer = &harness.tracer();
   // Fault-soak mode always audits GWC, trace or journal file or not.
   std::optional<trace::GwcAudit> audit;
   if (soak) audit.emplace(cfg);
