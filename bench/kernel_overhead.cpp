@@ -20,10 +20,15 @@
 //                     each event dearer: the preload/dispatch ns/event
 //                     ratio is gated at 1 + --ceiling-tolerance.
 //   4. alloc-audit    a real sharded-service run, counting the allocations
-//                     the hot paths still make: SmallFn heap fallbacks
-//                     (callbacks too big for the 88-byte inline buffer) and
-//                     frame-pool recycling (steady state must reuse, not
-//                     new). Gates: inline share and reuse share >= 95%.
+//                     the hot paths still make: every global operator new
+//                     (this binary replaces it with a counting one), SmallFn
+//                     heap fallbacks (callbacks too big for the 88-byte
+//                     inline buffer) and frame-pool recycling (steady state
+//                     must reuse, not new). The steady-state count per
+//                     completed op is the difference of two runs, N and 2N
+//                     requests per shard, over the difference of their ops,
+//                     so setup cancels. Gates: at most 5 operator new
+//                     calls per op; inline share and reuse share >= 95%.
 //   5. scale-ceiling  the same service workload at 256 and 1024 nodes x 64
 //                     shards. Every multicast fans out to every member, so
 //                     messages per op grow ~4x — but the kernel cost PER
@@ -37,7 +42,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -52,6 +59,21 @@
 #include "stats/table.hpp"
 #include "util/flags.hpp"
 #include "util/small_fn.hpp"
+
+// A counting global operator new, for this binary only: alloc-audit reads
+// the count around a service run. The kernel is single-threaded, so a plain
+// counter suffices.
+namespace {
+std::uint64_t g_operator_news = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++g_operator_news;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -69,6 +91,7 @@ struct ServiceRun {
   std::uint64_t events = 0;
   std::uint64_t completed_ops = 0;
   std::uint64_t heap_allocs = 0;   // SmallFn heap fallbacks during the run
+  std::uint64_t operator_news = 0;  // global operator new, setup included
   std::uint64_t pool_acquires = 0;
   std::uint64_t pool_reuses = 0;
   std::uint64_t messages = 0;
@@ -96,6 +119,8 @@ struct Hop {
 ServiceRun run_service(bench::Harness& harness, std::uint32_t nodes,
                        std::uint32_t shards, double per_shard_rate,
                        std::uint64_t requests_per_shard, std::uint64_t seed) {
+  const std::uint64_t news0 = g_operator_news;
+  ServiceRun out;
   sim::Scheduler sched;
   const auto topo = net::MeshTorus2D::near_square(nodes);
   dsm::DsmConfig cfg;
@@ -115,7 +140,6 @@ ServiceRun run_service(bench::Harness& harness, std::uint32_t nodes,
   gcfg.txn_fraction = 0.05;
   load::Generator gen(gcfg);
 
-  ServiceRun out;
   stats::ServiceReport report;
   const std::uint64_t heap0 = util::small_fn_heap_allocs();
   shard::Client client(store);
@@ -136,6 +160,7 @@ ServiceRun run_service(bench::Harness& harness, std::uint32_t nodes,
   out.converged = store.replicas_converged();
   out.serializable = report.serializable();
   if (!gen.done()) throw std::runtime_error("generator did not finish");
+  out.operator_news = g_operator_news - news0;
   return out;
 }
 
@@ -284,12 +309,29 @@ int main(int argc, char** argv) try {
 
   // --- 4. alloc-audit ------------------------------------------------------
   // A real service run at saturation. Steady state must run out of the
-  // inline callback buffer and the frame pool, not the heap.
+  // inline callback buffer, the frame pool and the kernel's own freelists,
+  // not the heap. The same run at twice the requests isolates the
+  // steady-state operator new count from setup.
   {
+    constexpr double max_allocs_per_op = 5.0;
     const auto run = run_service(harness, /*nodes=*/16, /*shards=*/4,
                                  /*per_shard_rate=*/200'000,
                                  /*requests_per_shard=*/400,
                                  harness.seed() ^ 0xa110cull);
+    const auto twice = run_service(harness, /*nodes=*/16, /*shards=*/4,
+                                   /*per_shard_rate=*/200'000,
+                                   /*requests_per_shard=*/800,
+                                   harness.seed() ^ 0xa110cull);
+    const std::uint64_t extra_ops =
+        twice.completed_ops > run.completed_ops
+            ? twice.completed_ops - run.completed_ops
+            : 0;
+    const double allocs_per_op =
+        extra_ops == 0
+            ? 0.0
+            : (static_cast<double>(twice.operator_news) -
+               static_cast<double>(run.operator_news)) /
+                  static_cast<double>(extra_ops);
     const double inline_share =
         run.events == 0
             ? 1.0
@@ -305,13 +347,20 @@ int main(int argc, char** argv) try {
               << " events (inline share "
               << stats::Table::num(100.0 * inline_share) << "%), frame pool "
               << run.pool_reuses << "/" << run.pool_acquires << " reused ("
-              << stats::Table::num(100.0 * reuse_share) << "%)\n";
-    if (inline_share < 0.95 || reuse_share < 0.95) {
+              << stats::Table::num(100.0 * reuse_share) << "%), "
+              << stats::Table::num(allocs_per_op)
+              << " operator new per op in steady state (limit "
+              << stats::Table::num(max_allocs_per_op) << ")\n";
+    if (inline_share < 0.95 || reuse_share < 0.95 ||
+        extra_ops == 0 || allocs_per_op > max_allocs_per_op) {
       std::cout << "ALLOCATION REGRESSION: hot paths are heap-allocating "
-                   "(need >= 95% inline and >= 95% pool reuse)\n";
+                   "(need >= 95% inline, >= 95% pool reuse and at most "
+                << stats::Table::num(max_allocs_per_op)
+                << " operator new per op)\n";
       ok = false;
     }
-    if (!run.serializable || !run.converged) {
+    if (!run.serializable || !run.converged || !twice.serializable ||
+        !twice.converged) {
       std::cout << "SERVICE INVARIANT VIOLATION in the alloc-audit run\n";
       ok = false;
     }
@@ -322,6 +371,9 @@ int main(int argc, char** argv) try {
         .set("pool_acquires", static_cast<double>(run.pool_acquires))
         .set("pool_reuses", static_cast<double>(run.pool_reuses))
         .set("pool_reuse_share", reuse_share)
+        .set("completed_ops", static_cast<double>(run.completed_ops))
+        .set("allocs_per_op", allocs_per_op)
+        .set("max_allocs_per_op", max_allocs_per_op)
         .set("wall_ns_per_event",
              run.events == 0 ? 0.0 : run.wall_ns /
                                          static_cast<double>(run.events));

@@ -84,11 +84,16 @@ sim::Process OptimisticMutex::execute(NodeId n, Section section,
 }
 
 namespace {
-/// Clears the node's occupancy flag even if the section body throws.
+/// Clears the node's occupancy flag and speculation tag even if the
+/// section body throws.
 struct SectionOccupancy {
   dsm::DsmNode* node;
+  VarId lock;
   ~SectionOccupancy() {
-    if (node != nullptr) node->exit_mutex_section();
+    if (node != nullptr) {
+      node->end_speculation(lock);
+      node->exit_mutex_section();
+    }
   }
 };
 }  // namespace
@@ -96,7 +101,7 @@ struct SectionOccupancy {
 sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
                                            ExecuteStats* out) {
   auto& node = sys_->node(n);
-  SectionOccupancy occupancy{&node};  // entered by the wrapper
+  SectionOccupancy occupancy{&node, lock_};  // entered by the wrapper
   auto& sched = sys_->scheduler();
   auto& st = state(n);
   st.in_section = true;
@@ -186,6 +191,9 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
     // one scheduler event, so no grant can have arrived in between.
     const bool started = st.req.start_speculation();
     OPTSYNC_ENSURE(started);
+    // Until the speculation commits or is restored, the body's writes go
+    // out tagged: the root must not admit them on a hand-off grant.
+    node.begin_speculation(lock_);
     const sim::Duration save_cost =
         cfg_.save_cost_per_var_ns *
         (section.shared_writes.size() + (section.save_locals ? 1 : 0));
@@ -218,6 +226,7 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
         }
         st.journal.restore(node);
         st.req.finish_rollback();  // line 24
+        node.end_speculation(lock_);
         ++stats_.rollbacks;
         local_stats.rolled_back = true;
         if (cfg_.lock_stats != nullptr) ++cfg_.lock_stats->rollbacks;
@@ -249,6 +258,7 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
       emit(n, Kind::kLockAcquire, lock_grant_value(n));
       st.journal.discard();
       st.req.commit();
+      node.end_speculation(lock_);
     }
   }
 

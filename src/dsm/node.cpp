@@ -25,7 +25,13 @@ void DsmNode::write(VarId v, Word value) {
   ensure_capacity(v);
   memory_[v] = value;
   ++stats_.local_writes;
-  sys_->share_out(id_, v, value);
+  bool speculative = false;
+  if (spec_guard_ != kNoVar) {
+    const VarInfo& info = sys_->var(v);
+    speculative =
+        info.kind == VarKind::kMutexData && speculating_on(info.guard);
+  }
+  sys_->share_out(id_, v, value, speculative);
   if (auto* sig = signal_if_any(v)) sig->notify_all();
 }
 
@@ -38,7 +44,7 @@ Word DsmNode::atomic_exchange(VarId v, Word value) {
   // scheduler events, never inside this call.
   memory_[v] = value;
   ++stats_.local_writes;
-  sys_->share_out(id_, v, value);
+  sys_->share_out(id_, v, value, /*speculative=*/false);
   if (auto* sig = signal_if_any(v)) sig->notify_all();
   return old;
 }
@@ -194,8 +200,9 @@ void DsmNode::apply(const Pending& p) {
     // until the interrupt logic resumes insharing.
     suspended_ = true;
     ++stats_.interrupts;
-    // Copy the handler: it may disarm itself while running.
-    auto handler = interrupt_handlers_[iidx];
+    // Copy the handler (inline, no allocation): it may disarm or re-arm
+    // itself while running, which would destroy or replace the stored one.
+    const InterruptHandler handler = interrupt_handlers_[iidx];
     if (auto* sig = signal_if_any(p.var)) sig->notify_all();
     handler(p.var, p.value, p.origin);
     return;

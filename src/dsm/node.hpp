@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -20,6 +19,7 @@
 #include "simkern/coro.hpp"
 #include "telemetry/journal.hpp"
 #include "util/ring.hpp"
+#include "util/small_fn.hpp"
 
 namespace optsync::dsm {
 
@@ -62,13 +62,29 @@ class DsmNode {
   /// Invocation is atomically coupled with insharing suspension: the
   /// triggering value is applied, insharing is suspended, then the handler
   /// runs. The handler (or code it resumes) must call resume_insharing().
-  using InterruptHandler = std::function<void(VarId, Word, NodeId origin)>;
+  /// Stored inline: the protocol's handlers capture a few ids and a
+  /// pointer, so arming and firing never touch the heap.
+  using InterruptHandler = util::SmallFn<void(VarId, Word, NodeId origin), 32>;
   void arm_interrupt(VarId v, InterruptHandler handler);
   void disarm_interrupt(VarId v);
 
   /// Signal notified after any change to `v`'s local copy (local writes and
   /// applied root updates alike). Coroutines wait on it for lock grants.
   sim::Signal& on_change(VarId v);
+
+  // --- speculation tag -------------------------------------------------
+  /// Brackets a speculation on lock `guard`: every mutex-data write of
+  /// `guard` issued in between is tagged speculative on its way to the
+  /// root (RootCore::admits). Keyed per guard, so writes under other locks
+  /// stay untagged; one guard at a time, as a node runs one mutex section
+  /// at a time. end_speculation() of a guard not begun is a no-op.
+  void begin_speculation(VarId guard) { spec_guard_ = guard; }
+  void end_speculation(VarId guard) {
+    if (spec_guard_ == guard) spec_guard_ = kNoVar;
+  }
+  [[nodiscard]] bool speculating_on(VarId guard) const {
+    return guard != kNoVar && spec_guard_ == guard;
+  }
 
   /// Per-node switch for Fig. 6 hardware blocking (on by default; off only
   /// to demonstrate the late-echo hazard).
@@ -163,6 +179,7 @@ class DsmNode {
   bool draining_ = false;
   bool hw_blocking_ = true;
   bool in_mutex_section_ = false;
+  VarId spec_guard_ = kNoVar;  ///< the guard speculated on, if any
   util::Ring<Pending> inbox_;
   // Hot per-var/per-group state is indexed by the dense VarId/GroupId
   // directly (grown on demand) — the unordered_map hash+probe per applied

@@ -35,7 +35,7 @@ void GroupRoot::set_coalesce(std::uint32_t max_writes, sim::Duration max_ns) {
 }
 
 void GroupRoot::on_arrival(NodeId origin, VarId v, Word value,
-                           telemetry::SpanContext ctx) {
+                           telemetry::SpanContext ctx, bool speculative) {
   const VarInfo& info = sys_->var(v);
   OPTSYNC_EXPECT(info.group == gid_);
 
@@ -47,7 +47,7 @@ void GroupRoot::on_arrival(NodeId origin, VarId v, Word value,
     // enough to park this much traffic is a protocol bug, not load.
     constexpr std::size_t kHandoffLogCap = 65536;
     OPTSYNC_ENSURE(handoff_log_.size() < kHandoffLogCap);
-    handoff_log_.push_back(HeldArrival{origin, v, value, ctx});
+    handoff_log_.push_back(HeldArrival{origin, v, value, ctx, speculative});
     return;
   }
 
@@ -58,10 +58,13 @@ void GroupRoot::on_arrival(NodeId origin, VarId v, Word value,
 
     case VarKind::kMutexData:
       if (sys_->config().root_filters_speculative &&
-          !core_.admits(info.guard, origin)) {
+          !core_.admits(info.guard, origin, speculative)) {
         // §4: "If the local CPU does not have the lock when the new values
         // reach the root, it will discard them."
         ++stats_.speculative_drops;
+        if (core_.lock_state(info.guard).holder == origin) {
+          ++stats_.handoff_spec_drops;
+        }
         sim::log_debug("root g", gid_, " drops speculative write of ",
                        info.name, "=", value, " from n", origin);
         if (auto* j = sys_->journal()) {
@@ -167,7 +170,9 @@ void GroupRoot::end_quiesce() {
   // log (quiesced_ is false), but keep the loop robust anyway.
   std::vector<HeldArrival> log;
   log.swap(handoff_log_);
-  for (const HeldArrival& h : log) on_arrival(h.origin, h.var, h.value, h.ctx);
+  for (const HeldArrival& h : log) {
+    on_arrival(h.origin, h.var, h.value, h.ctx, h.speculative);
+  }
 }
 
 void GroupRoot::flush_pending(bool timer_fired) {

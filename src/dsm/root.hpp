@@ -32,9 +32,11 @@ class GroupRoot {
   /// An eagershared write from `origin` arrives at the root. `ctx` is the
   /// causal context the message carried (invalid for untraced traffic);
   /// lock requests park it in the waiter queue so the eventual grant can
-  /// be attributed to the requester's trace.
+  /// be attributed to the requester's trace. `speculative` marks a
+  /// mutex-data write its origin issued while speculating on the guard
+  /// (RootCore::admits).
   void on_arrival(NodeId origin, VarId v, Word value,
-                  telemetry::SpanContext ctx = {});
+                  telemetry::SpanContext ctx = {}, bool speculative = false);
 
   /// Lock decisions are taken by the shared core (dsm/root_core.hpp).
   [[nodiscard]] const RootCore::LockState& lock_state(VarId lock) const {
@@ -44,6 +46,8 @@ class GroupRoot {
   struct Stats {
     std::uint64_t sequenced = 0;
     std::uint64_t speculative_drops = 0;  ///< filtered non-holder writes (§4)
+    /// Of those, speculative writes refused from a hand-off holder.
+    std::uint64_t handoff_spec_drops = 0;
     std::uint64_t frames = 0;             ///< multicast frames flushed
     std::uint64_t size_flushes = 0;       ///< frames closed by the size cap
     std::uint64_t timer_flushes = 0;      ///< frames closed by coalesce_max_ns
@@ -135,6 +139,7 @@ class GroupRoot {
     VarId var;
     Word value;
     telemetry::SpanContext ctx;
+    bool speculative;
   };
 
   DsmSystem* sys_;

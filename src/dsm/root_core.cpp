@@ -23,12 +23,14 @@ RootCore::Decision RootCore::on_lock_word(VarId lock, NodeId origin,
     ++ls.releases;
     if (ls.queue.empty()) {
       ls.holder = kNoNode;
+      ls.handed_off = false;
       return {Verdict::kFree, kNoNode, slot};
     }
     // "The root checks whether any nodes are queued awaiting exclusive
     // access. If so, the next queued number is written as the new lock
     // value."
     ls.holder = ls.queue.take_front();
+    ls.handed_off = true;
     ++ls.queued_grants;
     return {Verdict::kHandoff, ls.holder, slot};
   }
@@ -40,6 +42,7 @@ RootCore::Decision RootCore::on_lock_word(VarId lock, NodeId origin,
   ++ls.requests;
   if (ls.holder == kNoNode) {
     ls.holder = requester;
+    ls.handed_off = false;
     ++ls.immediate_grants;
     return {Verdict::kGrant, requester, slot};
   }

@@ -20,6 +20,9 @@ class RootCore {
   /// contended request sits on the sequencing hot path.
   struct LockState {
     NodeId holder = kNoNode;
+    /// The holder got the lock by hand-off (from the queue on a release),
+    /// not on a free lock: its request found another holder first.
+    bool handed_off = false;
     util::Ring<NodeId> queue;
     std::uint64_t requests = 0;
     std::uint64_t immediate_grants = 0;  ///< granted without queueing
@@ -51,8 +54,15 @@ class RootCore {
   Decision on_lock_word(VarId lock, NodeId origin, Word value);
 
   /// §4: mutex data guarded by `guard` is admitted only from its holder.
-  [[nodiscard]] bool admits(VarId guard, NodeId origin) const {
-    return lock_state(guard).holder == origin;
+  /// A `speculative` write (issued while its writer speculated on `guard`)
+  /// is refused from a holder granted by hand-off: that holder's request
+  /// was queued behind another holder, whose grant reaches the writer
+  /// while it speculates, so the speculation always rolls back and none
+  /// of its writes may become visible.
+  [[nodiscard]] bool admits(VarId guard, NodeId origin,
+                            bool speculative = false) const {
+    const LockState& ls = lock_state(guard);
+    return ls.holder == origin && !(speculative && ls.handed_off);
   }
 
   /// The idle state for a lock nobody has written (or a non-lock VarId).

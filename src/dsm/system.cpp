@@ -142,7 +142,8 @@ void DsmSystem::send_direct(NodeId src, NodeId dst, std::uint32_t bytes,
                  std::move(on_delivery));
 }
 
-void DsmSystem::share_out(NodeId origin, VarId v, Word value) {
+void DsmSystem::share_out(NodeId origin, VarId v, Word value,
+                          bool speculative) {
   const VarInfo& info = vars_[v];
   const Group& grp = group(info.group);
   OPTSYNC_EXPECT(grp.contains(origin));
@@ -161,7 +162,7 @@ void DsmSystem::share_out(NodeId origin, VarId v, Word value) {
   }
   transport_send(
       origin, root, grp.up_hops(origin), bytes_for(v), tag,
-      [this, g = info.group, origin, v, value, ctx, sent, base] {
+      [this, g = info.group, origin, v, value, ctx, sent, base, speculative] {
         if (auto* trc = tracer(); trc != nullptr && ctx.valid()) {
           // Split flight time into the fault-free base (kWireUp) and
           // whatever retransmission/backoff added on top (kRetransmit).
@@ -175,7 +176,7 @@ void DsmSystem::share_out(NodeId origin, VarId v, Word value) {
                              base_end, now);
           }
         }
-        roots_[g]->on_arrival(origin, v, value, ctx);
+        roots_[g]->on_arrival(origin, v, value, ctx, speculative);
       });
 }
 

@@ -107,8 +107,9 @@ class DsmSystem {
   }
 
   // --- substrate internals (used by DsmNode / GroupRoot) -----------------
-  /// Ships a node's write to its group root (up the spanning tree).
-  void share_out(NodeId origin, VarId v, Word value);
+  /// Ships a node's write to its group root (up the spanning tree),
+  /// tagged `speculative` when the node speculates on the var's guard.
+  void share_out(NodeId origin, VarId v, Word value, bool speculative);
 
   /// Root -> members: multicasts a frame of sequenced writes down the tree.
   /// The whole frame travels as one message per member (per-frame header

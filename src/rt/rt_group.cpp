@@ -70,10 +70,35 @@ Word RtSystem::read(NodeId n, VarId v) const {
 }
 
 Word RtSystem::atomic_exchange(NodeId n, VarId v, Word value) {
-  const Word old = poke(n, v, value);
+  OPTSYNC_EXPECT(n < nodes_.size() && v < vars_.size());
+  auto& node = *nodes_[n];
+  const dsm::VarInfo& info = vars_[v];
+  Word old;
+  bool speculative = false;
+  {
+    std::lock_guard lk(node.mem_mu);
+    old = std::exchange(node.memory[v], value);
+    speculative =
+        info.kind == VarKind::kMutexData && info.guard == node.spec_guard;
+  }
+  node.mem_cv.notify_all();
   inflight_.fetch_add(1, std::memory_order_acq_rel);
-  to_root_.push(OutMsg{n, v, value});
+  to_root_.push(OutMsg{n, v, value, speculative});
   return old;
+}
+
+void RtSystem::begin_speculation(NodeId n, VarId guard) {
+  OPTSYNC_EXPECT(n < nodes_.size());
+  auto& node = *nodes_[n];
+  std::lock_guard lk(node.mem_mu);
+  node.spec_guard = guard;
+}
+
+void RtSystem::end_speculation(NodeId n, VarId guard) {
+  OPTSYNC_EXPECT(n < nodes_.size());
+  auto& node = *nodes_[n];
+  std::lock_guard lk(node.mem_mu);
+  if (node.spec_guard == guard) node.spec_guard = dsm::kNoVar;
 }
 
 Word RtSystem::poke(NodeId n, VarId v, Word value) {
@@ -153,7 +178,7 @@ void RtSystem::sequence(const OutMsg& m) {
       return;
     }
     case VarKind::kMutexData:
-      if (!core_.admits(info.guard, m.origin)) {
+      if (!core_.admits(info.guard, m.origin, m.speculative)) {
         stats_.speculative_drops.fetch_add(1, std::memory_order_relaxed);
         return;
       }

@@ -69,6 +69,13 @@ class RtSystem {
   /// Restores a local value without sharing (rollback); returns the old one.
   Word poke(NodeId n, VarId v, Word value);
 
+  /// Brackets node `n`'s speculation on lock `guard`: its mutex-data
+  /// writes of `guard` in between reach the sequencer tagged speculative
+  /// (dsm::RootCore::admits), as in the simulator's DsmNode. One guard
+  /// per node at a time: a node is one instruction stream.
+  void begin_speculation(NodeId n, VarId guard);
+  void end_speculation(NodeId n, VarId guard);
+
   /// Blocks the calling thread until pred(local value of v) holds.
   void wait_until(NodeId n, VarId v, const std::function<bool(Word)>& pred);
 
@@ -108,6 +115,7 @@ class RtSystem {
     NodeId origin;
     VarId var;
     Word value;
+    bool speculative;
   };
   struct Node {
     mutable std::mutex mem_mu;
@@ -116,6 +124,7 @@ class RtSystem {
     bool suspended = false;
     std::condition_variable suspend_cv;
     std::vector<InterruptHandler> interrupts;  ///< by VarId; empty = disarmed
+    VarId spec_guard = dsm::kNoVar;  ///< speculated-on lock; by mem_mu
     Channel<Update> inbox;
     std::thread applier;
   };

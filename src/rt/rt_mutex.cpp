@@ -67,8 +67,13 @@ RtOptimisticMutex::Outcome RtOptimisticMutex::execute(NodeId n,
     if (sec.save_locals) sec.save_locals();
     // Another node's grant may have been applied while the variables were
     // being saved; the requester then refuses and the execution waits.
-    std::lock_guard lk(st.mu);
-    optimistic = st.req.start_speculation();
+    {
+      std::lock_guard lk(st.mu);
+      optimistic = st.req.start_speculation();
+    }
+    // The body's writes go out tagged until the speculation commits or is
+    // restored (the sequencer refuses them on a hand-off grant).
+    if (optimistic) sys.begin_speculation(n, lock_);
   }
 
   if (!optimistic) {
@@ -97,6 +102,7 @@ RtOptimisticMutex::Outcome RtOptimisticMutex::execute(NodeId n,
           sys.poke(n, sec.shared_writes[i], saved_values[i]);
         }
         if (sec.restore_locals) sec.restore_locals();
+        sys.end_speculation(n, lock_);
         sys.resume_insharing(n);
         continue;
       }
@@ -112,8 +118,11 @@ RtOptimisticMutex::Outcome RtOptimisticMutex::execute(NodeId n,
       sec.body(n);  // re-run with the lock actually held
     } else {
       stats_.optimistic_successes.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard lk(st.mu);
-      st.req.commit();
+      {
+        std::lock_guard lk(st.mu);
+        st.req.commit();
+      }
+      sys.end_speculation(n, lock_);
     }
   }
 

@@ -1,8 +1,11 @@
 #include "simkern/scheduler.hpp"
 
 #include "simkern/assert.hpp"
+#include "simkern/coro.hpp"
 
 namespace optsync::sim {
+
+Scheduler::~Scheduler() { release_pooled_memory(); }
 
 EventId Scheduler::at(Time when, Callback cb) {
   OPTSYNC_EXPECT(when >= now_);

@@ -24,6 +24,9 @@ class Scheduler {
   using Callback = EventQueue::Callback;
 
   Scheduler() = default;
+  /// Also returns the thread's pooled coroutine memory to the heap
+  /// (release_pooled_memory in simkern/coro.hpp).
+  ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 

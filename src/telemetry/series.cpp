@@ -62,14 +62,16 @@ namespace {
 std::string sanitize_name(std::string_view raw, bool allow_colon) {
   std::string out;
   out.reserve(raw.size() + 1);
+  // An empty name becomes "_"; a leading digit gets a '_' prefix.
+  if (raw.empty() || (raw.front() >= '0' && raw.front() <= '9')) {
+    out.push_back('_');
+  }
   for (const char c : raw) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' ||
                     (allow_colon && c == ':');
     out.push_back(ok ? c : '_');
   }
-  if (out.empty()) out = "_";
-  if (out.front() >= '0' && out.front() <= '9') out.insert(out.begin(), '_');
   return out;
 }
 

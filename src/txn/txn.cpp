@@ -12,7 +12,9 @@ TxnManager::TxnManager(dsm::DsmSystem& sys, TxnConfig cfg)
     : sys_(&sys),
       cfg_(cfg),
       orecs_(sys, cfg.orec_stripes),
-      cm_(sys, cfg.contention) {}
+      cm_(sys, cfg.contention),
+      active_(sys.node_count(), nullptr),
+      buffers_(sys.node_count()) {}
 
 SiteId TxnManager::add_site(const std::string& name, dsm::GroupId g,
                             dsm::VarId lock, dsm::VarId version) {
@@ -30,13 +32,26 @@ SiteId TxnManager::add_site(const std::string& name, dsm::GroupId g,
 void TxnManager::begin(Txn& t, dsm::NodeId n) {
   // One transaction per node: the node is one instruction stream, and the
   // clobber handler resolves its target through the per-node slot.
-  OPTSYNC_EXPECT(active_.find(n) == active_.end());
-  t = Txn{};
+  OPTSYNC_EXPECT(n < active_.size() && active_[n] == nullptr);
+  OPTSYNC_EXPECT(!t.active);
+  // Borrow the node's buffers: empty, with the capacity earlier
+  // transactions grew. (The doom attribution is read only once
+  // doom_known is set.)
+  swap_buffers(t, buffers_[n]);
   t.node = n;
   t.active = true;
+  t.doomed = false;
+  t.doom_known = false;
   t.began = sys_->scheduler().now();
   active_[n] = &t;
   ++begun_;
+}
+
+void TxnManager::swap_buffers(Txn& t, Buffers& b) {
+  t.reads.swap(b.reads);
+  t.undo.swap(b.undo);
+  t.write_stripes.swap(b.write_stripes);
+  t.write_sites.swap(b.write_sites);
 }
 
 void TxnManager::observe(Txn& t, SiteId site, std::uint32_t stripe) {
@@ -76,9 +91,8 @@ void TxnManager::arm_clobber(Txn& t, SiteId site, std::uint32_t stripe,
         // on a value that is no longer the group's state. (Self-echoes
         // never reach here: hardware blocking drops them before the
         // interrupt.)
-        auto it = active_.find(n);
-        if (it != active_.end() && origin != n) {
-          Txn& txn = *it->second;
+        if (Txn* active = active_[n]; active != nullptr && origin != n) {
+          Txn& txn = *active;
           for (auto& u : txn.undo) {
             if (u.var == var) {
               u.clobbered = true;
@@ -141,11 +155,16 @@ void TxnManager::note_doom_conflict(const Txn& t, CommitResult* out) {
 }
 
 void TxnManager::finish(Txn& t) {
-  for (const auto& u : t.undo) {
-    sys_->node(t.node).disarm_interrupt(u.var);
-  }
-  active_.erase(t.node);
+  auto& node = sys_->node(t.node);
+  for (const auto& u : t.undo) node.disarm_interrupt(u.var);
+  active_[t.node] = nullptr;
   t.active = false;
+  // Hand the buffers back cleared; t gets back the empty ones it held.
+  t.reads.clear();
+  t.undo.clear();
+  t.write_stripes.clear();
+  t.write_sites.clear();
+  swap_buffers(t, buffers_[t.node]);
 }
 
 sim::Process TxnManager::commit(Txn& t, CommitResult* out) {
@@ -171,8 +190,8 @@ sim::Process TxnManager::commit(Txn& t, CommitResult* out) {
   // The write-site locks, taken through the one ordered acquisition the
   // irrevocable fallback uses too, so the two paths can never deadlock
   // against each other. A read-only commit takes no locks.
-  std::vector<dsm::VarId> locks;
-  locks.reserve(t.write_sites.size());
+  std::vector<dsm::VarId>& locks = buffers_[t.node].locks;
+  locks.clear();
   for (const SiteId s : t.write_sites) locks.push_back(sites_[s].lock);
   if (!locks.empty()) {
     co_await sync::acquire_ordered(*sys_, &locks, t.node).join();
@@ -231,8 +250,7 @@ sim::Process TxnManager::commit(Txn& t, CommitResult* out) {
   sync::release_ordered(*sys_, locks, t.node);
 
   if (ok) {
-    t.undo.clear();  // discard — nothing to restore
-    finish(t);
+    finish(t);  // disarms the write set; nothing to restore
     ++commits_;
     out->committed = true;
   } else {

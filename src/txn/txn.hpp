@@ -55,7 +55,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -87,7 +86,11 @@ struct TxnConfig {
 /// One in-flight transaction. Owned by the caller (it lives in the
 /// calling coroutine's frame) and must not move between begin() and the
 /// end of commit()/abort() — the manager keeps a per-node pointer to it
-/// for the clobber interrupt handler.
+/// for the clobber interrupt handler. Its vectors are the manager's
+/// per-node buffers on loan: begin() hands them over cleared (with the
+/// capacity earlier transactions on the node grew) and the end of the
+/// transaction takes them back, so a steady-state transaction allocates
+/// nothing.
 struct Txn {
   dsm::NodeId node = 0;
   bool active = false;
@@ -211,8 +214,21 @@ class TxnManager {
     dsm::VarId version = dsm::kNoVar;
   };
 
+  /// The vectors a Txn borrows while it runs (see Txn).
+  struct Buffers {
+    std::vector<Txn::ReadEntry> reads;
+    std::vector<Txn::UndoEntry> undo;
+    std::vector<std::pair<SiteId, std::uint32_t>> write_stripes;
+    std::vector<SiteId> write_sites;
+    std::vector<dsm::VarId> locks;  ///< commit's write-site lock list
+  };
+  static void swap_buffers(Txn& t, Buffers& b);
+
   void arm_clobber(Txn& t, SiteId site, std::uint32_t stripe, dsm::VarId v);
   static void note_doom_conflict(const Txn& t, CommitResult* out);
+  /// Disarms the write set's clobber interrupts and ends the transaction.
+  /// Runs on every path — commit included — so no handler of a finished
+  /// transaction fires on a later foreign write.
   void finish(Txn& t);
   sim::Process abort_impl(Txn& t);
 
@@ -221,7 +237,10 @@ class TxnManager {
   OrecTable orecs_;
   ContentionManager cm_;
   std::vector<Site> sites_;
-  std::unordered_map<dsm::NodeId, Txn*> active_;
+  /// By node: the running transaction (nullptr when none) and its buffers.
+  /// Probed by every clobber interrupt, so a flat vector, not a hash.
+  std::vector<Txn*> active_;
+  std::vector<Buffers> buffers_;
   std::uint64_t begun_ = 0;
   std::uint64_t commits_ = 0;
   std::uint64_t aborts_ = 0;

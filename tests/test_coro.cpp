@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <stdexcept>
 #include <vector>
 
@@ -220,6 +221,116 @@ TEST(Coro, ManyProcessesInterleaveDeterministically) {
   s.run();
   const std::vector<int> expect{9, 8, 7, 6, 5, 4, 3, 2, 1, 0};
   EXPECT_EQ(order, expect);
+}
+
+/// Awaitable that records the address of the awaiting coroutine's frame
+/// and continues without suspending.
+struct FrameAddress {
+  void** out;
+  bool await_ready() const { return false; }
+  bool await_suspend(std::coroutine_handle<> h) const {
+    *out = h.address();
+    return false;
+  }
+  void await_resume() const {}
+};
+
+Process note_frame(Scheduler& s, void** frame) {
+  co_await FrameAddress{frame};
+  co_await delay(s, 1);
+}
+
+TEST(Coro, FinishedFrameIsRecycled) {
+  // A finished coroutine's frame goes back to the frame pool and is handed
+  // to the next coroutine of the same size.
+  Scheduler s;
+  void* first = nullptr;
+  void* second = nullptr;
+  auto p1 = note_frame(s, &first);
+  s.run();
+  ASSERT_TRUE(p1.done());
+  auto p2 = note_frame(s, &second);
+  s.run();
+  ASSERT_TRUE(p2.done());
+  EXPECT_NE(first, nullptr);
+  EXPECT_EQ(first, second);
+}
+
+TEST(Coro, HandleOutlivesItsFrame) {
+  // The frame is gone once the process finishes; its handles, and copies
+  // made afterwards, still report the outcome, and a late join completes
+  // at once. A recycled completion record must not leak into them.
+  Scheduler s;
+  Time seen = 0;
+  Process p = simple_delayer(s, 7, &seen);
+  s.run();
+  Process copy = p;
+  auto fresh = simple_delayer(s, 3, &seen);  // may reuse pooled storage
+  EXPECT_TRUE(p.done());
+  EXPECT_TRUE(copy.done());
+  EXPECT_FALSE(copy.failed());
+  EXPECT_FALSE(fresh.done());
+  Time joined_at = kNever;
+  auto late = joiner(s, copy, &joined_at);
+  EXPECT_TRUE(late.done());  // joined a done process without suspending
+  EXPECT_EQ(joined_at, 7u);
+  s.run();
+  EXPECT_TRUE(fresh.done());
+  EXPECT_EQ(seen, 10u);
+}
+
+TEST(Coro, EveryJoinerResumesInJoinOrder) {
+  Scheduler s;
+  Time seen = 0;
+  std::vector<int> order;
+  auto target = simple_delayer(s, 40, &seen);
+  auto make = [&](int id) -> Process {
+    co_await target.join();
+    order.push_back(id);
+  };
+  std::vector<Process> joiners;
+  for (int i = 0; i < 4; ++i) joiners.push_back(make(i));
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  for (const auto& j : joiners) EXPECT_TRUE(j.done());
+}
+
+TEST(Coro, ExceptionReachesEveryJoinerThroughNestedJoins) {
+  // The error travels from the thrower to each of its joiners, and on
+  // through a joiner that rethrows to its own joiner.
+  Scheduler s;
+  auto p = thrower(s);
+  bool caught_a = false;
+  bool caught_b = false;
+  auto a = join_thrower(s, p, &caught_a);
+  auto b = join_thrower(s, p, &caught_b);
+  auto relay = [&]() -> Process { co_await p.join(); };
+  auto middle = relay();
+  bool caught_outer = false;
+  auto outer = join_thrower(s, middle, &caught_outer);
+  s.run();
+  EXPECT_TRUE(caught_a);
+  EXPECT_TRUE(caught_b);
+  EXPECT_TRUE(middle.failed());
+  EXPECT_TRUE(caught_outer);
+  EXPECT_FALSE(outer.failed());
+}
+
+TEST(Coro, SignalKeepsWaitersAcrossNotifications) {
+  Scheduler s;
+  Signal sig(s);
+  int wakes = 0;
+  std::vector<Process> procs;
+  for (int i = 0; i < 3; ++i) procs.push_back(wait_on(sig, &wakes));
+  sig.notify_all();
+  EXPECT_EQ(sig.waiter_count(), 0u);
+  s.run();
+  EXPECT_EQ(wakes, 3);
+  EXPECT_EQ(sig.waiter_count(), 3u);  // each re-armed once
+  sig.notify_all();
+  s.run();
+  EXPECT_EQ(wakes, 6);
+  for (const auto& p : procs) EXPECT_TRUE(p.done());
 }
 
 }  // namespace

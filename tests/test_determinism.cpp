@@ -501,18 +501,18 @@ struct Golden {
   std::uint64_t digest;
 };
 constexpr Golden kGolden[] = {
-    {"service", 42, 0xc09f6e46008a7834ull},
-    {"service", 7, 0x4947abb18a44bc5eull},
-    {"service", 0xdeadbeef, 0x70ae2e65582c5e98ull},
-    {"txn_heavy", 42, 0x40ca6a94a43853b0ull},
-    {"txn_heavy", 1234, 0x9136ae3f1c62f332ull},
-    {"txn_legacy", 42, 0x66f555207bc7b776ull},
+    {"service", 42, 0x6a3af4cd21d8cfb2ull},
+    {"service", 7, 0x0f184f8889e83b16ull},
+    {"service", 0xdeadbeef, 0xa1287e71d62706edull},
+    {"txn_heavy", 42, 0xef99c76798c92241ull},
+    {"txn_heavy", 1234, 0x336b9ddceba3ba06ull},
+    {"txn_legacy", 42, 0x9d6d24c53303dec6ull},
     {"leased_partial", 42, 0x25d1ceeb9a2891ccull},
-    {"adaptive_coalesce", 42, 0x7373062484c7081aull},
-    {"driver_occ", 5, 0x560febb77579ca05ull},
+    {"adaptive_coalesce", 42, 0x69ebf8889b260a18ull},
+    {"driver_occ", 5, 0x3dfa54686eb3134full},
     {"driver_legacy", 5, 0x99d56f39bb9cecd9ull},
-    {"driver_partial", 5, 0xb2b844e5479e2eb4ull},
-    {"driver_elastic", 5, 0xcf4d56821a56a334ull},
+    {"driver_partial", 5, 0xdbf0f8b845eccf14ull},
+    {"driver_elastic", 5, 0xaa456e8e560f39e5ull},
     {"driver_elastic_legacy", 5, 0x04537cb2153a76d1ull},
 };
 

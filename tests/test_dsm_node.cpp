@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "dsm/system.hpp"
@@ -247,6 +248,110 @@ TEST_F(DsmNodeTest, HandlerResumingSynchronouslyContinuesDrain) {
   EXPECT_EQ(fires, 1);
   EXPECT_FALSE(sys_.node(2).insharing_suspended());
   EXPECT_EQ(sys_.node(2).read(data_), 9);  // the drain completed
+}
+
+/// Counts its live copies, so a handler can tell whether the closure it is
+/// running from is still alive after it disarmed or replaced itself.
+struct LiveProbe {
+  int* live;
+  explicit LiveProbe(int* l) : live(l) { ++*live; }
+  LiveProbe(const LiveProbe& o) : live(o.live) { ++*live; }
+  LiveProbe(LiveProbe&& o) noexcept : live(o.live) { ++*live; }
+  LiveProbe& operator=(const LiveProbe&) = delete;
+  ~LiveProbe() { --*live; }
+};
+
+TEST_F(DsmNodeTest, HandlerDisarmingItselfRunsToCompletion) {
+  int live = 0;
+  int fires = 0;
+  int live_after_disarm = -1;
+  {
+    LiveProbe probe(&live);
+    sys_.node(2).arm_interrupt(lock_, [&, probe](VarId v, Word, NodeId) {
+      ++fires;
+      sys_.node(2).disarm_interrupt(v);  // destroys the stored handler
+      live_after_disarm = *probe.live;   // the running copy still lives
+      sys_.node(2).resume_insharing();
+    });
+  }
+  EXPECT_EQ(live, 1);  // only the stored handler
+  sys_.node(1).write(lock_, lock_request_value(1));
+  sched_.run();
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(live_after_disarm, 1);
+  EXPECT_EQ(live, 0);  // disarmed and the fired copy released
+}
+
+TEST_F(DsmNodeTest, HandlerMayReArmTheSameVariable) {
+  std::vector<int> fired;
+  int live = 0;
+  int live_after_rearm = -1;
+  LiveProbe probe(&live);
+  sys_.node(2).arm_interrupt(lock_, [&, probe](VarId v, Word, NodeId) {
+    fired.push_back(1);
+    // Replace ourselves: the next change of `v` runs the new handler.
+    sys_.node(2).arm_interrupt(v, [&](VarId, Word, NodeId) {
+      fired.push_back(2);
+      sys_.node(2).resume_insharing();
+    });
+    live_after_rearm = *probe.live;  // test probe + the running copy
+    sys_.node(2).resume_insharing();
+  });
+  sys_.node(1).write(lock_, lock_request_value(1));
+  sched_.run();
+  sys_.node(1).write(lock_, kLockFree);
+  sched_.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  EXPECT_EQ(live_after_rearm, 2);
+  EXPECT_EQ(live, 1);  // the first handler is gone; the test's probe stays
+  sys_.node(2).disarm_interrupt(lock_);
+}
+
+TEST_F(DsmNodeTest, HandlerReFiresDuringTheDrainWithoutRecursion) {
+  // Two lock words queue while insharing is suspended. The handler resumes
+  // insharing from inside itself; the second word must fire it again from
+  // the outer drain loop, after the first call returned — never nested.
+  sys_.node(2).suspend_insharing();
+  sys_.node(1).write(lock_, lock_request_value(1));
+  sched_.run();
+  sys_.node(1).write(lock_, kLockFree);
+  sched_.run();
+  ASSERT_EQ(sys_.node(2).stats().queued_while_suspended, 2u);
+
+  std::vector<Word> seen;
+  int depth = 0;
+  int max_depth = 0;
+  sys_.node(2).arm_interrupt(lock_, [&](VarId, Word value, NodeId) {
+    max_depth = std::max(max_depth, ++depth);
+    seen.push_back(value);
+    sys_.node(2).resume_insharing();
+    --depth;
+  });
+  sys_.node(2).resume_insharing();
+  EXPECT_EQ(seen, (std::vector<Word>{lock_grant_value(1), kLockFree}));
+  EXPECT_EQ(max_depth, 1);
+  EXPECT_EQ(sys_.node(2).stats().interrupts, 2u);
+  EXPECT_FALSE(sys_.node(2).insharing_suspended());
+  sys_.node(2).disarm_interrupt(lock_);
+}
+
+TEST_F(DsmNodeTest, SmallHandlersAreStoredInline) {
+  // The protocol's handlers capture a pointer and a few ids: arming and
+  // firing them must not fall back to the heap.
+  const std::uint64_t before = util::small_fn_heap_allocs();
+  int fires = 0;
+  DsmNode* node = &sys_.node(2);
+  const std::uint32_t a = 1, b = 2, c = 3;
+  sys_.node(2).arm_interrupt(lock_, [node, &fires, a, b, c](VarId, Word,
+                                                            NodeId) {
+    fires += static_cast<int>(a + b + c) > 0 ? 1 : 0;
+    node->resume_insharing();
+  });
+  sys_.node(1).write(lock_, lock_request_value(1));
+  sched_.run();
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(util::small_fn_heap_allocs(), before);
+  sys_.node(2).disarm_interrupt(lock_);
 }
 
 TEST_F(DsmNodeTest, ReadOfUnknownVarRejected) {

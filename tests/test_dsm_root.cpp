@@ -176,7 +176,50 @@ TEST(RootCore, MutexDataAdmittedOnlyFromTheHolder) {
   EXPECT_FALSE(core.admits(kLock, 2));
 }
 
+TEST(RootCore, SpeculativeWriteRefusedFromAHandoffHolder) {
+  // A speculative write (tagged by its writer) is admitted from a holder
+  // granted on a free lock — that speculation commits — but refused from
+  // a holder granted by hand-off: its request queued behind another
+  // holder, so the speculation it belongs to always rolls back.
+  RootCore core;
+  core.on_lock_word(kLock, 1, req(1));  // immediate grant
+  EXPECT_TRUE(core.admits(kLock, 1, /*speculative=*/true));
+  core.on_lock_word(kLock, 2, req(2));       // queued behind node 1
+  core.on_lock_word(kLock, 1, kLockFree);    // hand-off to node 2
+  EXPECT_TRUE(core.lock_state(kLock).handed_off);
+  EXPECT_TRUE(core.admits(kLock, 2, /*speculative=*/false));
+  EXPECT_FALSE(core.admits(kLock, 2, /*speculative=*/true));
+  EXPECT_FALSE(core.admits(kLock, 1, /*speculative=*/true));
+  core.on_lock_word(kLock, 2, kLockFree);  // free, no waiters
+  EXPECT_FALSE(core.lock_state(kLock).handed_off);
+  core.on_lock_word(kLock, 2, req(2));  // immediate grant again
+  EXPECT_TRUE(core.admits(kLock, 2, /*speculative=*/true));
+}
+
 // --- GroupRoot: sequencing around the core ---------------------------------
+
+TEST_F(GroupRootTest, SpeculativeWriteFromHandoffHolderDropped) {
+  sys_.node(1).write(lock_, lock_request_value(1));
+  sched_.run();
+  sys_.node(3).write(lock_, lock_request_value(3));  // queued
+  sched_.run();
+  sys_.node(1).write(lock_, kLockFree);  // hand-off to node 3
+  sched_.run();
+  ASSERT_EQ(root().lock_state(lock_).holder, 3u);
+  sys_.node(3).begin_speculation(lock_);
+  sys_.node(3).write(mdata_, 529);  // tagged: refused
+  sys_.node(3).write(data_, 7);     // plain data is never tagged
+  sched_.run();
+  EXPECT_EQ(root().stats().speculative_drops, 1u);
+  EXPECT_EQ(root().stats().handoff_spec_drops, 1u);
+  EXPECT_EQ(sys_.node(0).read(mdata_), 0);
+  EXPECT_EQ(sys_.node(0).read(data_), 7);
+  sys_.node(3).end_speculation(lock_);
+  sys_.node(3).write(mdata_, 530);  // the holder's own, untagged write
+  sched_.run();
+  EXPECT_EQ(root().stats().speculative_drops, 1u);
+  EXPECT_EQ(sys_.node(0).read(mdata_), 530);
+}
 
 TEST_F(GroupRootTest, SpeculativeWriteFromNonHolderDropped) {
   sys_.node(1).write(mdata_, 77);  // nobody holds the lock

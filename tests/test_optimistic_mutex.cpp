@@ -371,5 +371,47 @@ TEST(OptimisticMutex, ManyNodesSerializeCorrectly) {
             ms.executions);
 }
 
+TEST(OptimisticMutex, LateSpeculativeWriteNeverLandsOnAHandoffGrant) {
+  // Scripted interleaving. Node 1 (next to the root) wins the lock; node 8
+  // requests before node 1's grant reaches it, so it speculates and its
+  // request queues. The grant to node 1 then interrupts node 8 (rollback
+  // chosen), but node 8's body keeps running and writes `y` only after
+  // node 1 has released and the root has handed the lock to node 8. That
+  // write is speculative: admitting it on the hand-off grant would make a
+  // rolled-back value visible everywhere except at node 8 (its echo is
+  // hardware-blocked). The re-execution sees node 1's update and writes
+  // `z` instead, so `y` must stay 0 on every member.
+  Fixture f(9);
+  const VarId y = f.sys.define_mutex_data("y", f.group, f.lock, 0);
+  const VarId z = f.sys.define_mutex_data("z", f.group, f.lock, 0);
+  Section late;
+  late.shared_writes = {y, z};
+  late.body = [&f, y, z](dsm::DsmNode& nd) -> sim::Process {
+    co_await sim::delay(f.sched, 40'000);  // outlasts node 1's whole hold
+    if (nd.read(f.a) == 100) {
+      nd.write(y, 529);  // the speculation's choice
+    } else {
+      nd.write(z, 1);  // the re-execution's choice
+    }
+  };
+  ExecuteStats s1, s8;
+  auto p1 = run_at(f, 1, 0, f.increment_section(500), &s1);
+  auto p8 = run_at(f, 8, 100, std::move(late), &s8);
+  f.sched.run();
+  p1.rethrow_if_failed();
+  p8.rethrow_if_failed();
+
+  ASSERT_TRUE(s8.used_optimistic);
+  ASSERT_TRUE(s8.rolled_back);
+  const auto& rs = f.sys.root_of(f.group).stats();
+  EXPECT_EQ(rs.handoff_spec_drops, 1u);
+  for (NodeId n = 0; n < 9; ++n) {
+    EXPECT_EQ(f.sys.node(n).read(f.a), 101) << "node " << n;
+    EXPECT_EQ(f.sys.node(n).read(y), 0) << "node " << n;
+    EXPECT_EQ(f.sys.node(n).read(z), 1) << "node " << n;
+  }
+  EXPECT_FALSE(f.sys.node(8).speculating_on(f.lock));
+}
+
 }  // namespace
 }  // namespace optsync::core

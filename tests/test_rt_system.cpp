@@ -55,6 +55,32 @@ TEST(RtSystem, QueuedRequesterGetsGrantAfterRelease) {
   sys.quiesce();
 }
 
+TEST(RtSystem, SpeculativeWriteRefusedOnAHandoffGrant) {
+  // The sequencer drives the same RootCore filter as the simulated root: a
+  // write tagged speculative is refused from a holder granted by hand-off,
+  // while the same holder's untagged writes are admitted.
+  RtSystem sys(small(3));
+  const auto l = sys.define_lock("l");
+  const auto m = sys.define_mutex_data("m", l);
+  sys.write(1, l, dsm::lock_request_value(1));
+  sys.wait_until(1, l, [](Word v) { return dsm::lock_granted_to(v, 1); });
+  sys.write(2, l, dsm::lock_request_value(2));  // queued
+  sys.quiesce();
+  sys.write(1, l, kLockFree);  // hand-off to node 2
+  sys.wait_until(2, l, [](Word v) { return dsm::lock_granted_to(v, 2); });
+  sys.begin_speculation(2, l);
+  sys.write(2, m, 529);
+  sys.quiesce();
+  EXPECT_EQ(sys.stats().speculative_drops.load(), 1u);
+  EXPECT_EQ(sys.read(0, m), 0);
+  sys.end_speculation(2, l);
+  sys.write(2, m, 530);
+  sys.quiesce();
+  EXPECT_EQ(sys.read(0, m), 530);
+  sys.write(2, l, kLockFree);
+  sys.quiesce();
+}
+
 TEST(RtSystem, RejectedLockWordsReachTheCallerNotTheSequencer) {
   // The sequencer decides with the same core as the simulated root, so a
   // holder's nested request and a release by a non-holder are contract

@@ -271,6 +271,81 @@ TEST(TxnManager, ReadSetClobberDoomsAndAbortKeepsForeignValue) {
   EXPECT_EQ(f.sys.node(0).read(f.ver), 0);  // no transactional commit
 }
 
+TEST(TxnManager, CommittedTransactionDisarmsItsWriteSet) {
+  // Commit ends the transaction like an abort does: its clobber interrupts
+  // are disarmed, so a later foreign write to its former write set raises
+  // no interrupt on the committer and counts no clobber.
+  Fixture f;
+  auto run_commit = [&]() -> sim::Process {
+    Txn t;
+    f.mgr->begin(t, 1);
+    f.mgr->write_word(t, f.site, 0, f.x, 7);
+    f.mgr->write_word(t, f.site, 1, f.y, 8);
+    TxnManager::CommitResult res;
+    co_await f.mgr->commit(t, &res).join();
+    EXPECT_TRUE(res.committed);
+  };
+  auto p = run_commit();
+  f.sched.run();
+  p.rethrow_if_failed();
+  const auto interrupts = f.sys.node(1).stats().interrupts;
+  const auto clobbers = f.mgr->clobbers_observed();
+
+  auto writer = foreign_commit(f, 2, f.x, 0, 55);
+  f.sched.run();
+  writer.rethrow_if_failed();
+  auto run_second = [&]() -> sim::Process {
+    // A later transaction on the same node reading the stripe is not
+    // doomed by the old transaction's handler either.
+    Txn t;
+    f.mgr->begin(t, 1);
+    (void)f.mgr->read_word(t, f.site, 0, f.x);
+    f.mgr->write_word(t, f.site, 2, f.z, 1);
+    co_await foreign_commit(f, 3, f.x, 0, 56).join();
+    EXPECT_FALSE(t.doomed);
+    co_await f.mgr->abort(t).join();
+  };
+  auto p2 = run_second();
+  f.sched.run();
+  p2.rethrow_if_failed();
+  EXPECT_EQ(f.sys.node(1).stats().interrupts, interrupts);
+  EXPECT_EQ(f.mgr->clobbers_observed(), clobbers);
+  for (dsm::NodeId n = 0; n < 8; ++n) {
+    EXPECT_EQ(f.sys.node(n).read(f.x), 56) << "node " << n;
+  }
+}
+
+TEST(TxnManager, TransactionsReuseTheNodesBuffers) {
+  // A node's transactions borrow one set of buffers: the second begin()
+  // on a node hands back the capacity the first transaction grew, empty.
+  Fixture f;
+  std::size_t undo_cap = 0;
+  auto run = [&](int round) -> sim::Process {
+    Txn t;
+    f.mgr->begin(t, 4);
+    EXPECT_TRUE(t.undo.empty());
+    EXPECT_TRUE(t.reads.empty());
+    if (round == 1) {
+      EXPECT_GE(t.undo.capacity(), undo_cap);
+    }
+    (void)f.mgr->read_word(t, f.site, 0, f.x);
+    f.mgr->write_word(t, f.site, 0, f.x, round);
+    f.mgr->write_word(t, f.site, 1, f.y, round);
+    f.mgr->write_word(t, f.site, 2, f.z, round);
+    undo_cap = t.undo.capacity();
+    TxnManager::CommitResult res;
+    co_await f.mgr->commit(t, &res).join();
+    EXPECT_TRUE(res.committed);
+  };
+  for (int round = 0; round < 2; ++round) {
+    auto p = run(round);
+    f.sched.run();
+    p.rethrow_if_failed();
+  }
+  EXPECT_GE(undo_cap, 3u);
+  EXPECT_EQ(f.sys.node(0).read(f.z), 1);
+}
+
 // ------------------------------------------------------------- contention ---
 
 TEST(ContentionManager, BackoffDoublesToCapAndEscalates) {
